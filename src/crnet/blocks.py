@@ -74,13 +74,23 @@ def _conv(x: Tensor, params: Params, key: str, k: int, groups: int = 1) -> Tenso
         x,
         params[f"{key}.weight"],
         params[f"{key}.bias"],
-        stride=1,
         padding=(k - 1) // 2,
         groups=groups,
     )
 
 
 # -- frequency separation ----------------------------------------------------
+
+POOL_KINDS = ("avg", "max")
+
+
+def pool2x2(x: Tensor, kind: str) -> Tensor:
+    """Halve both spatial extents by 2x2 mean or max pooling."""
+    if kind == "avg":
+        return avg_pool2d(x)
+    if kind == "max":
+        return max_pool2d(x)
+    raise ValueError(f"pool: unknown pool kind {kind!r}")
 
 
 @dataclass
@@ -104,12 +114,7 @@ def frequency_separate(x: Tensor, pool_kind: str = "avg") -> FreqPair:
         raise ValueError(
             f"frequency_separate: spatial extents {height}x{width} must be even (caller pads)"
         )
-    if pool_kind == "avg":
-        low = avg_pool2d(x, 2, 2)
-    elif pool_kind == "max":
-        low = max_pool2d(x, 2, 2)
-    else:
-        raise ValueError(f"frequency_separate: unknown pool kind {pool_kind!r}")
+    low = pool2x2(x, pool_kind)
     high = sub(x, bilinear_upsample(low, height, width))
     return FreqPair(low=low, high=high)
 
@@ -339,7 +344,6 @@ def conv_enhancement_block(
                 h,
                 params[f"dw{j}.weight"],
                 params[f"dw{j}.bias"],
-                stride=1,
                 padding=(k - 1) // 2,
                 groups=c,
             )

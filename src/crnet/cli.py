@@ -2,7 +2,8 @@
 inference, ablation runs, and parameter counting.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric
-failure. CRNET_THREADS caps worker parallelism for dataset generation.
+failure. ``gen`` renders samples on one thread per CPU; ``gen --force``
+replaces the archives of the dataset previously in the directory.
 """
 
 from __future__ import annotations
@@ -55,17 +56,13 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise FormatError(f"{out}: directory exists and is not empty (use --force)")
-    workers = max(1, int(os.environ.get("CRNET_THREADS", "1")))
 
     def build(index: int) -> synth.SampleRecord:
         spec = dataclasses.replace(cfg.scene, seed=_sample_seed(args.seed, index))
         return synth.generate_sample(spec, cfg.degrade)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(build, range(args.count)))
-    else:
-        samples = [build(i) for i in range(args.count)]
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        samples = list(pool.map(build, range(args.count)))
     ids = synth.write_dataset(samples, out)
     for sid, sample in zip(ids, samples):
         gt = sample.ground_truth
@@ -166,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--count", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+    p.add_argument("--force", action="store_true", help="write into a non-empty directory, replacing its dataset")
     p.set_defaults(func=cmd_gen)
 
     p = add("train", "train a model on a dataset directory")

@@ -29,20 +29,12 @@ from .blocks import (
     frequency_separate,
     materialize,
     multi_branch_block,
+    pool2x2,
     prefixed,
     scoped,
     window_self_attention,
 )
-from .tensor import (
-    Tensor,
-    avg_pool2d,
-    clamp_min,
-    concat,
-    conv2d,
-    gelu,
-    max_pool2d,
-    _node,
-)
+from .tensor import Tensor, _node, clamp_min, concat, conv2d, gelu
 
 RAW_CHANNELS = 4  # packed RGGB planes at half sensor resolution
 NUM_FRAMES = 5
@@ -81,7 +73,7 @@ class CRNetConfig:
             raise ValueError(
                 f"config: base_channels {self.base_channels} not divisible by ca_reduction {self.ca_reduction}"
             )
-        if self.pool_kind not in ("avg", "max"):
+        if self.pool_kind not in blocks.POOL_KINDS:
             raise ValueError(f"config: pool_kind must be avg or max, got {self.pool_kind!r}")
         if self.fusion_mode not in ("joint", "recurrent"):
             raise ValueError(f"config: fusion_mode must be joint or recurrent, got {self.fusion_mode!r}")
@@ -113,7 +105,6 @@ class ExposureStack:
 
     frames: List[np.ndarray]
     exposure_times: np.ndarray
-    reference_index: int = 0
 
     def validate(self) -> None:
         if len(self.frames) != NUM_FRAMES:
@@ -125,8 +116,6 @@ class ExposureStack:
             raise ValueError("stack: exposure times must be positive")
         if np.any(np.diff(times) <= 0):
             raise ValueError(f"stack: exposure times must be strictly increasing, got {times.tolist()}")
-        if self.reference_index != 0:
-            raise ValueError("stack: the reference is always the first (shortest) frame")
         shape = np.asarray(self.frames[0]).shape
         for i, frame in enumerate(self.frames):
             arr = np.asarray(frame)
@@ -138,31 +127,26 @@ class ExposureStack:
                 raise ValueError(f"stack: frame {i} has values outside [0, 1]")
 
 
-@dataclass
-class PreprocessedInputs:
-    """Per-frame network inputs: normalized raw stacked with its gamma map."""
-
-    inputs: List[Tensor]
-
-
-def preprocess(stack: ExposureStack, gamma: float = 1.0 / 2.2, dtype=np.float32) -> PreprocessedInputs:
+def preprocess(stack: ExposureStack, gamma: float = 1.0 / 2.2, dtype=np.float32) -> np.ndarray:
     """Exposure-normalize each frame and append its gamma-mapped copy.
 
-    Frame i becomes concat(R_i / (dt_i/dt_1), (R_i / (dt_i/dt_1))^gamma)
-    on the channel axis, so ratios (not absolute times) are what matter.
-    The reference frame passes through unchanged in its first channels.
+    Returns [NUM_FRAMES, 2*RAW_CHANNELS, H, W]: frame i becomes
+    concat(R_i / (dt_i/dt_1), (R_i / (dt_i/dt_1))^gamma) on the channel
+    axis, so ratios (not absolute times) are what matter. The reference
+    frame passes through unchanged in its first channels.
     """
     stack.validate()
     dtype = np.dtype(dtype).type
     times = np.asarray(stack.exposure_times, dtype=np.float64)
-    out: List[Tensor] = []
+    _, height, width = np.shape(stack.frames[0])
+    out = np.empty((NUM_FRAMES, 2 * RAW_CHANNELS, height, width), dtype=dtype)
     for i in range(NUM_FRAMES):
         ratio = float(times[i] / times[0])
         raw = np.asarray(stack.frames[i], dtype=dtype)
         normalized = np.maximum(raw / dtype(ratio), 0.0)
-        gamma_mapped = normalized ** dtype(gamma)
-        out.append(Tensor(np.concatenate([normalized, gamma_mapped], axis=0)))
-    return PreprocessedInputs(inputs=out)
+        out[i, :RAW_CHANNELS] = normalized
+        out[i, RAW_CHANNELS:] = normalized ** dtype(gamma)
+    return out
 
 
 # -- optical-flow style alignment ---------------------------------------------
@@ -203,24 +187,29 @@ def warp_by_flow(feature: Tensor, flow: np.ndarray) -> Tensor:
     y1 = np.minimum(y0 + 1, height - 1)
     wx = (sx - x0).astype(dtype)[:, None]
     wy = (sy - y0).astype(dtype)[:, None]
-    b_idx = np.arange(batch, dtype=np.intp)[:, None, None, None]
-    c_idx = np.arange(channels, dtype=np.intp)[None, :, None, None]
-    x0_, y0_, x1_, y1_ = (a[:, None] for a in (x0, y0, x1, y1))
-    v00 = feature.data[b_idx, c_idx, y0_, x0_]
-    v01 = feature.data[b_idx, c_idx, y0_, x1_]
-    v10 = feature.data[b_idx, c_idx, y1_, x0_]
-    v11 = feature.data[b_idx, c_idx, y1_, x1_]
+    # Flat pixel index of the four neighbours, [B, H*W] each: 00, 01, 10, 11.
+    corners = [(y * width + x).reshape(batch, -1) for y in (y0, y1) for x in (x0, x1)]
+    planes = feature.data.reshape(batch, channels, height * width)
+
+    def gather(corner: np.ndarray) -> np.ndarray:
+        out = np.empty_like(planes)
+        for b in range(batch):
+            np.take(planes[b], corner[b], axis=1, out=out[b], mode="clip")
+        return out.reshape(feature.shape)
+
+    v00, v01, v10, v11 = (gather(corner) for corner in corners)
     top = v00 + wx * (v01 - v00)
     bottom = v10 + wx * (v11 - v10)
     out = top + wy * (bottom - top)
 
     def backward(g):
-        grad = np.zeros_like(feature.data)
-        np.add.at(grad, (b_idx, c_idx, y0_, x0_), g * (1 - wy) * (1 - wx))
-        np.add.at(grad, (b_idx, c_idx, y0_, x1_), g * (1 - wy) * wx)
-        np.add.at(grad, (b_idx, c_idx, y1_, x0_), g * wy * (1 - wx))
-        np.add.at(grad, (b_idx, c_idx, y1_, x1_), g * wy * wx)
-        feature._accumulate(grad)
+        # One scatter-add per neighbour over the flattened features.
+        offsets = np.arange(batch * channels, dtype=np.intp).reshape(batch, channels, 1) * (height * width)
+        parts = (g * (1 - wy) * (1 - wx), g * (1 - wy) * wx, g * wy * (1 - wx), g * wy * wx)
+        grad = np.zeros(feature.data.size, dtype=dtype)
+        for corner, part in zip(corners, parts):
+            np.add.at(grad, (offsets + corner[:, None]).ravel(), part.ravel())
+        feature._accumulate(grad.reshape(feature.shape))
 
     return _node(out, (feature,), backward)
 
@@ -326,24 +315,24 @@ def count_params(cfg: CRNetConfig) -> int:
 
 
 def validate_params(params: Params, cfg: CRNetConfig) -> None:
-    """Reject a params/config mismatch, naming the first offending path."""
+    """Reject a params/config mismatch, listing every missing, unexpected
+    and wrongly shaped path in one error."""
     spec = param_spec(cfg)
-    for path, shape in spec.items():
-        if path not in params:
-            raise ValueError(f"params: missing parameter {path!r}")
-        got = tuple(params[path].shape)
-        if got != shape:
-            raise ValueError(f"params: shape mismatch at {path!r}: got {got}, expected {shape}")
-    for path in params:
-        if path not in spec:
-            raise ValueError(f"params: unexpected parameter {path!r}")
+    missing = [path for path in spec if path not in params]
+    unexpected = [path for path in params if path not in spec]
+    wrong_shape = [
+        f"{path!r} is {tuple(params[path].shape)}, expected {shape}"
+        for path, shape in spec.items()
+        if path in params and tuple(params[path].shape) != shape
+    ]
+    if missing or unexpected or wrong_shape:
+        raise ValueError(
+            f"params do not match the config: missing={missing} unexpected={unexpected} "
+            f"wrong shape=[{', '.join(wrong_shape)}]"
+        )
 
 
 # -- forward pass -----------------------------------------------------------------
-
-
-def _pool(x: Tensor, kind: str) -> Tensor:
-    return avg_pool2d(x, 2, 2) if kind == "avg" else max_pool2d(x, 2, 2)
 
 
 def _hfem_forward(x: Tensor, params: Params, cfg: CRNetConfig) -> Tensor:
@@ -353,7 +342,7 @@ def _hfem_forward(x: Tensor, params: Params, cfg: CRNetConfig) -> Tensor:
     else:
         # Ablation: attend over the unseparated map and keep a plain
         # downsampled copy as the half-resolution stream.
-        high_in, low_in = x, _pool(x, cfg.pool_kind)
+        high_in, low_in = x, pool2x2(x, cfg.pool_kind)
     attended = window_self_attention(high_in, scoped(params, "attn."), cfg.attn_heads, cfg.attn_window)
     high = multi_branch_block(attended, scoped(params, "mbb_high0."), cfg.mbb_split)
     low = low_in
@@ -394,12 +383,11 @@ def forward_batch(
     # gradient verification, float32 otherwise).
     dtype = params["shallow.weight"].data.dtype
     pres = [preprocess(stack, cfg.gamma, dtype) for stack in stacks]
-    shape = pres[0].inputs[0].shape
+    shape = pres[0].shape
     for p in pres:
-        for t in p.inputs:
-            if t.shape != shape:
-                raise ValueError(f"forward: inconsistent frame shapes {t.shape} vs {shape}")
-    _, height, width = shape
+        if p.shape != shape:
+            raise ValueError(f"forward: inconsistent frame shapes {p.shape[1:]} vs {shape[1:]}")
+    _, _, height, width = shape
     if height % 2 or width % 2:
         raise ValueError(f"forward: spatial extents {height}x{width} must be even")
     if height % cfg.attn_window or width % cfg.attn_window:
@@ -407,10 +395,7 @@ def forward_batch(
             f"forward: extents {height}x{width} not divisible by attention window {cfg.attn_window}"
         )
 
-    frames = [
-        Tensor(np.stack([p.inputs[i].data for p in pres]))  # [B, 2*RAW, H, W]
-        for i in range(NUM_FRAMES)
-    ]
+    frames = [Tensor(np.stack([p[i] for p in pres])) for i in range(NUM_FRAMES)]  # [B, 2*RAW, H, W]
     feats = [
         conv2d(f, params["shallow.weight"], params["shallow.bias"], padding=1) for f in frames
     ]

@@ -91,14 +91,6 @@ class RunConfig:
     degrade: DegradeSpec
     scene: SceneSpec
 
-    def section(self, prefix: str):
-        return {
-            "model": self.model,
-            "train": self.train,
-            "data": self.degrade,
-            "scene": self.scene,
-        }[prefix]
-
 
 def build_run_config(values: Dict[str, object]) -> RunConfig:
     """Materialize the dataclasses from a flat key -> value mapping."""

@@ -19,8 +19,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack
+from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack, warp_by_flow
 from .storage import FormatError, read_archive, write_archive
+from .tensor import Tensor
 
 QUANT_LEVELS = 4095  # 12-bit raw
 BLUR_FRAMES = (3, 4)  # the two longest exposures pick up motion blur
@@ -140,26 +141,6 @@ def generate_scene(spec: SceneSpec) -> np.ndarray:
     return scene.astype(np.float64)
 
 
-def _translate(image: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """Shift [C, H, W] content by (+dx, +dy) pixels, bilinear, edge-clamped."""
-    _, h, w = image.shape
-    sx = np.clip(np.arange(w, dtype=np.float64)[None, :] - dx, 0, w - 1)
-    sy = np.clip(np.arange(h, dtype=np.float64)[:, None] - dy, 0, h - 1)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = sx - x0
-    wy = sy - y0
-    v00 = image[:, y0, x0]
-    v01 = image[:, y0, x1]
-    v10 = image[:, y1, x0]
-    v11 = image[:, y1, x1]
-    top = v00 + wx * (v01 - v00)
-    bottom = v10 + wx * (v11 - v10)
-    return top + wy * (bottom - top)
-
-
 def render_bracket(
     scene: np.ndarray,
     degrade: DegradeSpec,
@@ -188,6 +169,17 @@ def render_bracket(
         rng = np.random.default_rng(np.random.SeedSequence([0, 0xB1A5]))
     times = np.asarray(degrade.exposure_times, dtype=np.float64)
     peak = max(float(scene.max()), 1.0)
+    source = Tensor(scene[None])
+
+    def translate(dx: float, dy: float) -> np.ndarray:
+        """Content moved by (+dx, +dy) px: a constant backward warp by (-dx, -dy).
+
+        The flow stays float64; float32 would round the sub-pixel shift.
+        """
+        flow = np.empty((2,) + scene.shape[1:], dtype=np.float64)
+        flow[0], flow[1] = -dx, -dy
+        return warp_by_flow(source, flow).data[0]
+
     frames: List[np.ndarray] = []
     for i in range(NUM_FRAMES):
         ratio = times[i] / times[0]
@@ -196,13 +188,13 @@ def render_bracket(
             taps = np.linspace(0.0, 1.0, degrade.blur_taps)
             shifted = np.mean(
                 [
-                    _translate(scene, motion[i, 0] + t * drift[0], motion[i, 1] + t * drift[1])
+                    translate(motion[i, 0] + t * drift[0], motion[i, 1] + t * drift[1])
                     for t in taps
                 ],
                 axis=0,
             )
         else:
-            shifted = _translate(scene, motion[i, 0], motion[i, 1])
+            shifted = translate(motion[i, 0], motion[i, 1])
         clean = np.clip(shifted * ratio / peak, 0.0, 1.0)
         read = rng.standard_normal(clean.shape) * degrade.read_noise_sigma
         shot = rng.standard_normal(clean.shape) * np.sqrt(degrade.shot_noise_scale * clean)
@@ -251,13 +243,22 @@ def sample_from_entries(entries: dict, context: str = "<archive>") -> SampleReco
 
 
 def write_dataset(samples: Sequence[SampleRecord], directory) -> List[str]:
-    """Write one archive per sample plus the id index; returns the ids."""
+    """Write one archive per sample plus the id index; returns the ids.
+
+    Archives that a previous index in the directory listed and the new
+    one does not are deleted; other files are left alone.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    index = directory / INDEX_NAME
+    previous = index.read_text(encoding="utf-8").split() if index.exists() else []
     ids = [f"sample{i:05d}" for i in range(len(samples))]
     for sid, sample in zip(ids, samples):
         write_archive(directory / f"{sid}.crt1a", sample_to_entries(sample))
-    (directory / INDEX_NAME).write_text("".join(f"{sid}\n" for sid in ids), encoding="utf-8")
+    index.write_text("".join(f"{sid}\n" for sid in ids), encoding="utf-8")
+    for sid in set(previous) - set(ids):
+        if Path(sid).name == sid:  # never leave the directory
+            (directory / f"{sid}.crt1a").unlink(missing_ok=True)
     return ids
 
 

@@ -18,9 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
-
-
 class Tensor:
     """Dense array plus optional gradient slot and graph linkage.
 
@@ -66,10 +63,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Same data, cut loose from the graph, no gradient tracking."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -437,15 +430,14 @@ def conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride: int = 1,
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
     """2-d cross-correlation over [B, Cin, H, W] with grouped kernels.
 
     weight is [Cout, Cin/groups, kh, kw]; groups == Cin gives the
-    depthwise case. Output extent follows
-    H' = (H + 2*padding - kh) // stride + 1. Implemented as im2col plus
+    depthwise case. The stride is 1, so the output extent is
+    H' = H + 2*padding - kh + 1. Implemented as im2col plus
     one batched matmul per call; single-threaded deterministic.
     """
     parents = [x, weight] + ([bias] if bias is not None else [])
@@ -468,8 +460,8 @@ def conv2d(
         )
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
+    out_h = height + 2 * padding - kh + 1
+    out_w = width + 2 * padding - kw + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"conv2d: kernel {kh}x{kw} with padding {padding} exceeds input {height}x{width}"
@@ -480,7 +472,7 @@ def conv2d(
     windows = np.lib.stride_tricks.as_strided(
         xp,
         shape=(batch, cin, kh, kw, out_h, out_w),
-        strides=(sb, sc, sh, sw, sh * stride, sw * stride),
+        strides=(sb, sc, sh, sw, sh, sw),
         writeable=False,
     )
     # [B, G, Cg*kh*kw, out_h*out_w]
@@ -501,10 +493,8 @@ def conv2d(
             dwin = dcols.reshape(batch, cin, kh, kw, out_h, out_w)
             dxp = np.zeros_like(xp)
             for i in range(kh):
-                row = slice(i, i + (out_h - 1) * stride + 1, stride)
                 for j in range(kw):
-                    col = slice(j, j + (out_w - 1) * stride + 1, stride)
-                    dxp[:, :, row, col] += dwin[:, :, i, j]
+                    dxp[:, :, i : i + out_h, j : j + out_w] += dwin[:, :, i, j]
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(dxp)
@@ -515,54 +505,48 @@ def conv2d(
 # -- pooling ---------------------------------------------------------------
 
 
-def _check_pool_args(x: Tensor, k: int, stride: int):
+def _check_pool_args(x: Tensor) -> None:
     if x.ndim != 4:
         raise ValueError(f"pool: input must be 4-d [B,C,H,W], got {x.shape}")
-    if k != stride:
-        raise ValueError(f"pool: only k == stride windows are supported, got k={k} stride={stride}")
     _, _, height, width = x.shape
-    if height % stride != 0 or width % stride != 0:
-        raise ValueError(
-            f"pool: spatial extents {height}x{width} not divisible by stride {stride}"
-        )
+    if height % 2 != 0 or width % 2 != 0:
+        raise ValueError(f"pool: spatial extents {height}x{width} not divisible by 2")
 
 
-def avg_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Non-overlapping mean pooling; differentiable everywhere."""
-    _check_pool_args(x, k, stride)
+def avg_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 mean pooling; differentiable everywhere."""
+    _check_pool_args(x)
     batch, channels, height, width = x.shape
-    oh, ow = height // k, width // k
-    xr = x.data.reshape(batch, channels, oh, k, ow, k)
+    oh, ow = height // 2, width // 2
+    xr = x.data.reshape(batch, channels, oh, 2, ow, 2)
     out = xr.mean(axis=(3, 5))
 
     def backward(g):
-        spread = np.broadcast_to(
-            g[:, :, :, None, :, None] / (k * k), (batch, channels, oh, k, ow, k)
-        )
+        spread = np.broadcast_to(g[:, :, :, None, :, None] / 4, (batch, channels, oh, 2, ow, 2))
         x._accumulate(spread.reshape(x.shape))
 
     return _node(out, (x,), backward)
 
 
-def max_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Non-overlapping max pooling.
+def max_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 max pooling.
 
     The gradient routes to the window's argmax; ties break to the first
     element in row-major window order, so gradients are deterministic.
     """
-    _check_pool_args(x, k, stride)
+    _check_pool_args(x)
     batch, channels, height, width = x.shape
-    oh, ow = height // k, width // k
-    # [B, C, oh, ow, k*k] with the window flattened row-major
-    flat = x.data.reshape(batch, channels, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = flat.reshape(batch, channels, oh, ow, k * k)
+    oh, ow = height // 2, width // 2
+    # [B, C, oh, ow, 4] with the window flattened row-major
+    flat = x.data.reshape(batch, channels, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = flat.reshape(batch, channels, oh, ow, 4)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         dflat = np.zeros_like(flat)
         np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        dx = dflat.reshape(batch, channels, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+        dx = dflat.reshape(batch, channels, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         x._accumulate(dx.reshape(x.shape))
 
     return _node(out, (x,), backward)

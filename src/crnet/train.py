@@ -25,7 +25,7 @@ from .model import (
     validate_params,
 )
 from .blocks import Params
-from .storage import read_archive, write_archive
+from .storage import FormatError, read_archive, write_archive
 from .synth import SampleRecord
 from .tensor import Tensor
 
@@ -163,27 +163,25 @@ def save_checkpoint(path, params: Params, state: OptimState) -> None:
 def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
     """Load params + optimizer state, validating against cfg's layout.
 
-    A layout mismatch is rejected with every missing and unexpected
-    parameter path listed.
+    A layout mismatch raises ValueError listing every missing,
+    unexpected and wrongly shaped parameter path; absent optimizer
+    entries raise FormatError.
     """
     entries = read_archive(path)
+    stored = {k: v for k, v in entries.items() if not k.startswith("optim.")}
+    try:
+        validate_params(stored, cfg)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     spec = param_spec(cfg)
-    stored = {k for k in entries if not k.startswith("optim.")}
-    missing = [k for k in spec if k not in stored]
-    extra = [k for k in stored if k not in spec]
-    if missing or extra:
-        raise ValueError(
-            f"checkpoint {path} does not match the config: "
-            f"missing={missing} unexpected={extra}"
-        )
-    params: Params = {}
-    for k, shape in spec.items():
-        if tuple(entries[k].shape) != shape:
-            raise ValueError(
-                f"checkpoint {path}: shape mismatch at {k!r}: got {tuple(entries[k].shape)}, expected {shape}"
-            )
-        params[k] = Tensor(entries[k], requires_grad=True)
+    needed = [_OPT_META] + [f"optim.{moment}.{k}" for k in spec for moment in ("m", "v")]
+    absent = [k for k in needed if k not in entries]
+    if absent:
+        raise FormatError(f"checkpoint {path}: {len(absent)} optimizer entries missing, first {absent[0]!r}")
     meta = entries[_OPT_META]
+    if meta.shape != (6,):
+        raise FormatError(f"checkpoint {path}: {_OPT_META} must hold 6 values, got shape {meta.shape}")
+    params: Params = {k: Tensor(stored[k], requires_grad=True) for k in spec}
     state = OptimState(
         m={k: entries[f"optim.m.{k}"] for k in spec},
         v={k: entries[f"optim.v.{k}"] for k in spec},
@@ -266,7 +264,6 @@ def train(
     if not dataset:
         raise ValueError("train: dataset is empty")
     train_cfg.validate()
-    validate_params(params, model_cfg)
     if state is None:
         state = init_optim_state(params, train_cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -275,6 +272,7 @@ def train(
 
     steps_per_epoch = max(1, len(dataset) // train_cfg.batch)
     total_steps = train_cfg.epochs * steps_per_epoch
+    ckpt_interval = train_cfg.ckpt_every * steps_per_epoch
     history: List[HistoryRow] = []
     ckpt_path = out_dir / "checkpoint.crt1a" if out_dir is not None else None
 
@@ -284,8 +282,6 @@ def train(
         slot = step % steps_per_epoch
         order = _rng(train_cfg.seed, _SEED_SHUFFLE, epoch).permutation(len(dataset))
         picked = order[slot * train_cfg.batch : slot * train_cfg.batch + train_cfg.batch]
-        if len(picked) == 0:
-            picked = order[: train_cfg.batch]
         aug_rng = _rng(train_cfg.seed, _SEED_AUGMENT, step)
         batch: List[SampleRecord] = []
         for idx in picked:
@@ -313,12 +309,9 @@ def train(
 
         history.append(HistoryRow(step=step, epoch=epoch, lr=state.lr, loss=loss_value))
         step = state.step
-
-        finished_epoch = step % steps_per_epoch == 0
-        if ckpt_path is not None and finished_epoch:
-            epoch_done = step // steps_per_epoch
-            if epoch_done % train_cfg.ckpt_every == 0 or step == total_steps:
-                save_checkpoint(ckpt_path, params, state)
+        # Every ckpt_every epochs; the final checkpoint is written after the loop.
+        if ckpt_path is not None and step < total_steps and step % ckpt_interval == 0:
+            save_checkpoint(ckpt_path, params, state)
 
     if ckpt_path is not None:
         save_checkpoint(ckpt_path, params, state)
@@ -335,7 +328,6 @@ def evaluate(
     """Per-sample metric reports plus their mean."""
     if not dataset:
         raise ValueError("evaluate: dataset is empty")
-    validate_params(params, model_cfg)
     reports: List[Tuple[str, MetricReport]] = []
     for sample_id, sample in dataset:
         prediction = forward(sample.stack, params, model_cfg)

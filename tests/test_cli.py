@@ -73,6 +73,14 @@ class TestGen:
         assert run(["gen", "--out", str(data), "--count", "1", "--force", *DESK]) == 0
         assert run(["gen", "--out", str(data), "--count", "2", "--seed", "3", "--force", *DESK]) == 0
 
+    def test_force_replaces_previous_dataset(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(["gen", "--out", str(data), "--count", "2", *DESK]) == 0
+        (data / "notes.txt").write_text("kept\n")
+        assert run(["gen", "--out", str(data), "--count", "1", "--force", *DESK]) == 0
+        assert sorted(p.name for p in data.iterdir()) == ["index.txt", "notes.txt", "sample00000.crt1a"]
+        assert (data / "notes.txt").read_text() == "kept\n"
+
     def test_generated_set_loads(self, workspace):
         samples = read_dataset(workspace / "data")
         assert len(samples) == 2
@@ -108,6 +116,19 @@ class TestTrainEvalInfer:
         )
         assert code == cli.EXIT_DATA
         assert "missing" in capsys.readouterr().err
+
+    def test_checkpoint_without_optimizer_state_is_data_error(self, workspace, tmp_path, capsys):
+        entries = read_archive(workspace / "run" / "checkpoint.crt1a")
+        params_only = {k: v for k, v in entries.items() if not k.startswith("optim.")}
+        no_moment = {k: v for k, v in entries.items() if k != "optim.m.head.bias"}
+        short_meta = {**entries, "optim.meta": entries["optim.meta"][:3]}
+        for name, archive in (("params", params_only), ("moment", no_moment), ("meta", short_meta)):
+            ckpt = tmp_path / f"{name}.crt1a"
+            write_archive(ckpt, archive)
+            code = run(["eval", "--data", str(workspace / "data"), "--ckpt", str(ckpt), *DESK])
+            assert code == cli.EXIT_DATA, name
+            err = capsys.readouterr().err
+            assert "[data]" in err and "optim" in err and "Traceback" not in err, name
 
     def test_infer_writes_parseable_outputs(self, workspace, tmp_path):
         out = tmp_path / "pred.crt1"

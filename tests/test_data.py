@@ -121,7 +121,7 @@ class TestGroundTruthProperties:
         # plus noise/quantization only.
         sample = generate_sample(SceneSpec(seed=10), DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=1))
         pre = preprocess(sample.stack)
-        assert np.abs(pre.inputs[0].data[:4] - sample.ground_truth).max() <= 1.0 / 4095.0
+        assert np.abs(pre[0, :4] - sample.ground_truth).max() <= 1.0 / 4095.0
 
     def test_sample_generation_deterministic(self):
         a = generate_sample(SceneSpec(seed=11), DegradeSpec())

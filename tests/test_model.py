@@ -42,13 +42,13 @@ class TestPreprocess:
     def test_reference_frame_passthrough(self):
         stack = make_stack(seed=1)
         pre = preprocess(stack, GAMMA)
-        assert np.array_equal(pre.inputs[0].data[:RAW_CHANNELS], stack.frames[0])
+        assert np.array_equal(pre[0][:RAW_CHANNELS], stack.frames[0])
 
     def test_zero_maps_to_zero(self):
         stack = make_stack(seed=2)
         stack.frames[2] = np.zeros_like(stack.frames[2])
         pre = preprocess(stack, GAMMA)
-        assert np.array_equal(pre.inputs[2].data, np.zeros_like(pre.inputs[2].data))
+        assert np.array_equal(pre[2], np.zeros_like(pre[2]))
 
     def test_frozen_scalar_oracle(self):
         # 0.25 at exposure ratio 4 -> 0.0625; 0.0625^(1/2.2) evaluated to
@@ -56,12 +56,12 @@ class TestPreprocess:
         stack = make_stack(seed=3, times=(1.0, 4.0, 8.0, 16.0, 32.0))
         stack.frames[1] = np.full_like(stack.frames[1], 0.25)
         pre = preprocess(stack, GAMMA)
-        assert pre.inputs[1].data[:RAW_CHANNELS] == pytest.approx(0.0625, abs=1e-7)
-        assert pre.inputs[1].data[RAW_CHANNELS:] == pytest.approx(0.2835781305488656, abs=1e-6)
+        assert pre[1][:RAW_CHANNELS] == pytest.approx(0.0625, abs=1e-7)
+        assert pre[1][RAW_CHANNELS:] == pytest.approx(0.2835781305488656, abs=1e-6)
 
     def test_channel_count_doubles(self):
         pre = preprocess(make_stack(seed=4), GAMMA)
-        for t in pre.inputs:
+        for t in pre:
             assert t.shape[0] == 2 * RAW_CHANNELS
 
     def test_non_increasing_times_rejected(self):
@@ -73,16 +73,16 @@ class TestPreprocess:
         stack_b = make_stack(seed=5, times=tuple(2.0 * t for t in stack_a.exposure_times))
         pre_a = preprocess(stack_a, GAMMA)
         pre_b = preprocess(stack_b, GAMMA)
-        for a, b in zip(pre_a.inputs, pre_b.inputs):
-            assert np.array_equal(a.data, b.data)  # power-of-two scale: exact
+        for a, b in zip(pre_a, pre_b):
+            assert np.array_equal(a, b)  # power-of-two scale: exact
 
     def test_exposure_scale_invariance_arbitrary_factor(self):
         stack_a = make_stack(seed=6)
         stack_b = make_stack(seed=6, times=tuple(3.7 * t for t in stack_a.exposure_times))
         pre_a = preprocess(stack_a, GAMMA)
         pre_b = preprocess(stack_b, GAMMA)
-        for a, b in zip(pre_a.inputs, pre_b.inputs):
-            assert np.allclose(a.data, b.data, atol=1e-6)
+        for a, b in zip(pre_a, pre_b):
+            assert np.allclose(a, b, atol=1e-6)
 
 
 class TestWarpByFlow:
@@ -212,17 +212,21 @@ class TestForward:
         out_b = forward(stack_b, params, cfg, flows=flows)
         assert np.array_equal(out_a.data, out_b.data)
 
-    def test_param_mismatch_names_first_offender(self):
+    def test_param_mismatch_names_every_offender(self):
         cfg = tiny_config()
         params = build_params(cfg, seed=0)
         broken = dict(params)
         del broken["head.bias"]
         with pytest.raises(ValueError, match="head.bias"):
             forward(make_stack(seed=22), broken, cfg)
-        extra = dict(params)
-        extra["bogus.weight"] = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
-        with pytest.raises(ValueError, match="bogus.weight"):
-            validate_params(extra, cfg)
+        broken["bogus.weight"] = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
+        broken["shallow.bias"] = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        with pytest.raises(ValueError) as err:
+            validate_params(broken, cfg)
+        message = str(err.value)
+        assert "missing=['head.bias']" in message
+        assert "unexpected=['bogus.weight']" in message
+        assert "'shallow.bias' is (3,), expected (8,)" in message
 
     def test_window_divisibility_enforced(self):
         cfg = tiny_config(attn_window=8)

@@ -1,11 +1,13 @@
 """Optimizer, schedule, augmentation, loop, and checkpoint tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from crnet.model import build_params, forward
+from crnet.storage import read_archive, write_archive
 from crnet.synth import DegradeSpec, SceneSpec, generate_sample
 from crnet.tensor import Tensor
 from crnet.train import (
@@ -239,6 +241,24 @@ class TestTrainLoop:
             train(dataset, cfg, longer, resumed, state, out_dir=tmp_path)
         assert (tmp_path / "checkpoint.crt1a").read_bytes() == good
 
+    @pytest.mark.parametrize("epochs,ckpt_every,writes", [(1, 10, 1), (4, 2, 2)])
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch, epochs, ckpt_every, writes):
+        # `crnet.train` is the function; the loop looks the writer up in its module.
+        train_module = sys.modules["crnet.train"]
+        steps = []
+
+        def counting(path, params, state):
+            steps.append(state.step)
+            save_checkpoint(path, params, state)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", counting)
+        cfg, dataset = tiny_setup(1)
+        tcfg = desk_train_config(epochs=epochs, batch=1, seed=0, ckpt_every=ckpt_every)
+        train(dataset, cfg, tcfg, build_params(cfg, seed=0), out_dir=tmp_path)
+        assert len(steps) == writes
+        assert steps[-1] == epochs
+        assert load_checkpoint(tmp_path / "checkpoint.crt1a", cfg)[1].step == epochs
+
     def test_empty_dataset_rejected(self):
         cfg, _ = tiny_setup(1)
         with pytest.raises(ValueError, match="empty"):
@@ -279,6 +299,15 @@ class TestCheckpoint:
         other = desk_model_config(n_ceb=3)
         with pytest.raises(ValueError, match="missing.*hfem0.ceb2"):
             load_checkpoint(path, other)
+        entries = read_archive(path)
+        entries["head.bias"] = np.zeros(5, np.float32)
+        write_archive(path, entries)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path, other)
+        message = str(err.value)
+        assert str(path) in message
+        assert "missing=['hfem0.ceb2." in message
+        assert "'head.bias' is (5,), expected (4,)" in message
 
 
 class TestEvaluate:
