@@ -108,10 +108,11 @@ def build_run_config(values: Dict[str, object]) -> RunConfig:
         degrade=DegradeSpec(**kwargs["data"]),
         scene=SceneSpec(**kwargs["scene"]),
     )
-    cfg.model.validate()
-    cfg.train.validate()
-    cfg.degrade.validate()
-    cfg.scene.validate()
+    for section in (cfg.model, cfg.train, cfg.degrade, cfg.scene):
+        try:
+            section.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 

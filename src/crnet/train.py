@@ -3,8 +3,8 @@
 Training is bit-reproducible for a fixed seed: sample order, crops and
 flips are all drawn from generators re-derived per (seed, purpose,
 step), so resuming from a checkpoint replays the exact remainder of an
-unbroken run. A NaN loss aborts the run and leaves the last good
-checkpoint in place.
+unbroken run. A non-finite loss or gradient aborts the run before the
+update and leaves the last good checkpoint in place.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .tensor import Tensor
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss or gradient."""
 
 
 # Purpose tags for per-step generator derivation.
@@ -61,8 +61,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.crop % 2 != 0 or self.crop < 2:
             raise ValueError(f"train: crop must be even and >= 2, got {self.crop}")
-        if self.epochs < 1 or self.batch < 1:
-            raise ValueError("train: epochs and batch must be >= 1")
+        if self.epochs < 1 or self.batch < 1 or self.ckpt_every < 1:
+            raise ValueError("train: epochs, batch and ckpt_every must be >= 1")
         if self.initial_lr <= 0 or not (0 < self.lr_gamma <= 1) or self.lr_step_epochs < 1:
             raise ValueError("train: bad learning-rate schedule settings")
 
@@ -257,9 +257,10 @@ def train(
 
     Deterministic given train_cfg.seed. Checkpoints go to
     out_dir/checkpoint.crt1a every ckpt_every epochs and at the end; a
-    NaN loss raises NumericError without overwriting the previous
-    checkpoint. Passing a restored optimizer state resumes exactly
-    where the stored step count left off.
+    non-finite loss or parameter gradient raises NumericError before the
+    update, without overwriting the previous checkpoint. Passing a
+    restored optimizer state resumes exactly where the stored step count
+    left off.
     """
     if not dataset:
         raise ValueError("train: dataset is empty")
@@ -303,6 +304,11 @@ def train(
         for p in params.values():
             p.zero_grad()
         loss.backward()
+        for path, p in params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(
+                    f"non-finite gradient for {path!r} at step {step}; last checkpoint retained"
+                )
         adamw_step(params, {k: p.grad for k, p in params.items()}, state)
         for p in params.values():
             p.zero_grad()

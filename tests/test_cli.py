@@ -191,8 +191,12 @@ class TestAblateAndParams:
 
 
 class TestConfigSurface:
-    def test_unknown_key_is_usage_error(self):
-        assert run(["params", "--set", "bogus.key=1"]) == cli.EXIT_USAGE
+    @pytest.mark.parametrize(
+        "pair", ["bogus.key=1", "train.ckpt_every=0", "model.base_channels=0", "train.epochs=0"]
+    )
+    def test_unknown_key_is_usage_error(self, pair):
+        # An unknown key and a value its section's validate() rejects are both usage errors.
+        assert run(["params", "--set", pair]) == cli.EXIT_USAGE
 
     def test_config_file_layering(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

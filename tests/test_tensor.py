@@ -123,14 +123,27 @@ class TestConv2d:
         with pytest.raises(ValueError, match="odd"):
             conv2d(x, rand((4, 3, 2, 2)))
 
-    def test_gradcheck_input_weight_bias(self):
+    # padding > k-1 (the last two rows) crops the output gradient instead of padding it.
+    @pytest.mark.parametrize(
+        "kh,kw,padding,groups",
+        [(3, 3, 1, 1), (1, 1, 0, 1), (7, 7, 3, 4), (3, 3, 0, 2), (3, 5, 1, 1), (1, 1, 1, 1), (3, 3, 3, 1)],
+    )
+    def test_gradcheck_input_weight_bias(self, kh, kw, padding, groups):
         rng = np.random.default_rng(7)
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
-        b = Tensor(rng.normal(size=(3,)), dtype=F64)
-        x = Tensor(rng.normal(size=(2, 2, 6, 6)), dtype=F64)
-        assert finite_difference_check(lambda t: tsum(conv2d(t, w, b, padding=1)), x) < 1e-6
-        assert finite_difference_check(lambda t: tsum(conv2d(x, t, b, padding=1)), w) < 1e-6
-        assert finite_difference_check(lambda t: tsum(conv2d(x, w, t, padding=1)), b) < 1e-6
+        cin = cout = 4
+        w = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), dtype=F64)
+        b = Tensor(rng.normal(size=(cout,)), dtype=F64)
+        x = Tensor(rng.normal(size=(2, cin, 6, 6)), dtype=F64)
+        out_shape = conv2d(x, w, b, padding=padding, groups=groups).shape
+        # A random cotangent, so a kernel flipped or transposed the wrong way shows.
+        c = Tensor(rng.normal(size=out_shape), dtype=F64)
+
+        def loss(x, w, b):
+            return tsum(mul(conv2d(x, w, b, padding=padding, groups=groups), c))
+
+        assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-6
+        assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
+        assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
 
     def test_deterministic(self):
         x = rand((2, 3, 8, 8), seed=8, dtype=np.float32)
@@ -233,6 +246,29 @@ class TestElementwise:
         # 0.5 * 1 * (1 + tanh(sqrt(2/pi) * (1 + 0.044715))), high-precision
         out = gelu(Tensor(np.array([1.0]), dtype=F64)).data[0]
         assert out == pytest.approx(0.8411919906082767, abs=1e-14)
+
+    def test_gelu_float32_matches_float64(self):
+        # Each float32 result is a few roundings of O(1) factors away from the
+        # float64 one: the output is 0.5*x*(1+t), so its error scales with |x|,
+        # and the local derivative is O(1). 16 eps leaves margin over both.
+        tol = 16 * np.finfo(np.float32).eps
+        mags = np.logspace(-3, 12, 61)
+        # |x| >= 7e12 overflows the float32 cube to inf; the tanh saturates to +-1 there.
+        overflow = np.array([7e12, 1e13, 1e15, 1e18])
+        grid = np.concatenate([-overflow[::-1], -mags[::-1], [0.0], mags, overflow])
+        cot = np.random.default_rng(12).uniform(0.5, 1.5, grid.size)
+        results = {}
+        for dtype in (np.float32, np.float64):
+            x = Tensor(grid.astype(np.float32).astype(dtype), requires_grad=True)
+            with np.errstate(over="ignore"):
+                out = gelu(x)
+            tsum(mul(out, Tensor(cot.astype(dtype)))).backward()
+            results[dtype] = (out.data.astype(np.float64), x.grad.astype(np.float64))
+        (y32, g32), (y64, g64) = results[np.float32], results[np.float64]
+        assert np.all(np.isfinite(y32)) and np.all(np.isfinite(g32))
+        x64 = grid.astype(np.float32).astype(np.float64)
+        assert np.all(np.abs(y32 - y64) <= tol * np.abs(x64))
+        assert np.all(np.abs(g32 - g64) <= tol * cot)
 
     def test_softmax_uniform(self):
         out = softmax(Tensor(np.full((5,), 3.7), dtype=F64), axis=-1)

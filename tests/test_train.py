@@ -9,6 +9,7 @@ import pytest
 from crnet.model import build_params, forward
 from crnet.storage import read_archive, write_archive
 from crnet.synth import DegradeSpec, SceneSpec, generate_sample
+from crnet import tensor as tensor_mod
 from crnet.tensor import Tensor
 from crnet.train import (
     NumericError,
@@ -239,6 +240,30 @@ class TestTrainLoop:
         longer = desk_train_config(epochs=4, batch=1, seed=0, ckpt_every=100)
         with pytest.raises(NumericError, match="non-finite"):
             train(dataset, cfg, longer, resumed, state, out_dir=tmp_path)
+        assert (tmp_path / "checkpoint.crt1a").read_bytes() == good
+
+    def test_non_finite_gradient_aborts_before_update(self, tmp_path, monkeypatch):
+        cfg, dataset = tiny_setup(1)
+        params = build_params(cfg, seed=3)
+        train(dataset, cfg, desk_train_config(epochs=1, batch=1, seed=0), params, out_dir=tmp_path)
+        good = (tmp_path / "checkpoint.crt1a").read_bytes()
+        resumed, state = load_checkpoint(tmp_path / "checkpoint.crt1a", cfg)
+        before = {k: p.data.copy() for k, p in resumed.items()}
+
+        # Adds 0 to the loss, but its backward deposits inf into one parameter.
+        bad = resumed["fusion.conv1.bias"]
+        spike = tensor_mod._node(
+            np.zeros((), np.float32), (bad,), lambda g: bad._accumulate(np.full_like(bad.data, np.inf))
+        )
+        train_module = sys.modules["crnet.train"]
+        original_loss = train_module.l1_tonemapped_loss
+        monkeypatch.setattr(train_module, "l1_tonemapped_loss", lambda *a: original_loss(*a) + spike)
+
+        longer = desk_train_config(epochs=3, batch=1, seed=0, ckpt_every=1)
+        with pytest.raises(NumericError, match=r"non-finite gradient for 'fusion.conv1.bias' at step 1"):
+            train(dataset, cfg, longer, resumed, state, out_dir=tmp_path)
+        assert state.step == 1
+        assert all(np.array_equal(resumed[k].data, before[k]) for k in before)
         assert (tmp_path / "checkpoint.crt1a").read_bytes() == good
 
     @pytest.mark.parametrize("epochs,ckpt_every,writes", [(1, 10, 1), (4, 2, 2)])
