@@ -22,6 +22,7 @@ from . import runconfig, synth
 from .metrics import MetricReport
 from .runconfig import ConfigError
 from .storage import FormatError, read_archive, write_pfm, write_tensor
+from .tensor import Tensor
 from .train import NumericError, evaluate, load_checkpoint, train
 
 EXIT_USAGE = 2
@@ -102,7 +103,8 @@ def cmd_infer(args) -> int:
     cfg = _resolve(args)
     stack = synth.stack_from_entries(read_archive(args.stack), context=str(args.stack))
     params, _ = load_checkpoint(args.ckpt, cfg.model)
-    prediction = model_mod.forward(stack, params, cfg.model)
+    frozen = {path: Tensor(p.data) for path, p in params.items()}
+    prediction = model_mod.forward(stack, frozen, cfg.model)
     out = Path(args.out)
     write_tensor(out, prediction.data)
     for channel in range(prediction.shape[0]):

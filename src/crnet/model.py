@@ -230,35 +230,35 @@ def estimate_flow(
     Minimizes per-block sum of absolute differences over displacements
     within [-radius, radius]^2; ties break toward zero displacement and
     then row-major search order, so identical inputs give a zero field.
-    The result is piecewise constant per block, [2, H, W] (dx, dy).
+    Inputs are [..., C, H, W] with broadcasting leading axes (a [B, C, H, W]
+    reference against [N, B, C, H, W] frames matches every pair at once);
+    the result is piecewise constant per block, [..., 2, H, W] (dx, dy).
     """
     ref = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
     frame = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
-    if ref.shape != frame.shape:
-        raise ValueError(f"estimate_flow: shape mismatch {ref.shape} vs {frame.shape}")
-    if ref.ndim != 3:
-        raise ValueError(f"estimate_flow: expected [C, H, W], got {ref.shape}")
-    _, height, width = ref.shape
+    if ref.ndim < 3 or ref.shape[-3:] != frame.shape[-3:]:
+        raise ValueError(f"estimate_flow: expected matching [..., C, H, W], got {ref.shape} vs {frame.shape}")
+    lead = np.broadcast_shapes(ref.shape[:-3], frame.shape[:-3])
+    height, width = ref.shape[-2:]
     row_starts = np.arange(0, height, block)
     col_starts = np.arange(0, width, block)
-    padded = np.pad(frame, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    best_sad = np.full((len(row_starts), len(col_starts)), np.inf)
+    pad = [(0, 0)] * (frame.ndim - 2) + [(radius, radius), (radius, radius)]
+    padded = np.pad(frame, pad, mode="edge")
+    diff = np.empty(lead + ref.shape[-3:], dtype=np.result_type(ref, frame))
+    best_sad = np.full(lead + (len(row_starts), len(col_starts)), np.inf)
     best_dx = np.zeros_like(best_sad)
     best_dy = np.zeros_like(best_sad)
     for dy, dx in _search_order(radius):
-        shifted = padded[:, radius + dy : radius + dy + height, radius + dx : radius + dx + width]
-        diff = np.abs(ref - shifted).sum(axis=0)
-        sad = np.add.reduceat(np.add.reduceat(diff, row_starts, axis=0), col_starts, axis=1)
+        shifted = padded[..., radius + dy : radius + dy + height, radius + dx : radius + dx + width]
+        np.subtract(ref, shifted, out=diff)
+        np.abs(diff, out=diff)
+        sad = np.add.reduceat(np.add.reduceat(diff.sum(axis=-3), row_starts, axis=-2), col_starts, axis=-1)
         better = sad < best_sad
-        best_sad = np.where(better, sad, best_sad)
-        best_dx = np.where(better, dx, best_dx)
-        best_dy = np.where(better, dy, best_dy)
-    row_counts = np.diff(np.append(row_starts, height))
-    col_counts = np.diff(np.append(col_starts, width))
-    flow = np.empty((2, height, width), dtype=np.float32)
-    flow[0] = np.repeat(np.repeat(best_dx, row_counts, axis=0), col_counts, axis=1)
-    flow[1] = np.repeat(np.repeat(best_dy, row_counts, axis=0), col_counts, axis=1)
-    return flow
+        best_sad[better] = sad[better]
+        best_dx[better] = dx
+        best_dy[better] = dy
+    best = np.stack([best_dx, best_dy], axis=-3).astype(np.float32)
+    return np.repeat(np.repeat(best, block, axis=-2), block, axis=-1)[..., :height, :width]
 
 
 # -- parameter layout -----------------------------------------------------------
@@ -400,17 +400,19 @@ def forward_batch(
         conv2d(f, params["shallow.weight"], params["shallow.bias"], padding=1) for f in frames
     ]
 
-    aligned = [feats[0]]
-    for i in range(1, NUM_FRAMES):
-        per_sample = []
-        for b in range(len(stacks)):
-            if flows is not None and flows[b] is not None:
-                per_sample.append(np.asarray(flows[b][i], dtype=np.float32))
-            else:
-                per_sample.append(
-                    estimate_flow(feats[0].data[b], feats[i].data[b])
-                )
-        aligned.append(warp_by_flow(feats[i], np.stack(per_sample)))
+    # One block-matching call for every (sample, frame) pair without a given
+    # flow: the reference against the stacked moving frames [4, B', C, H, W].
+    given = [None if flows is None else flows[b] for b in range(len(stacks))]
+    missing = [b for b, sample_flows in enumerate(given) if sample_flows is None]
+    if missing:
+        moving = np.stack([f.data[missing] for f in feats[1:]])
+        estimated = estimate_flow(feats[0].data[missing], moving)
+        for j, b in enumerate(missing):
+            given[b] = [None] + list(estimated[:, j])
+    aligned = [feats[0]] + [
+        warp_by_flow(feats[i], np.stack([np.asarray(sample[i], dtype=np.float32) for sample in given]))
+        for i in range(1, NUM_FRAMES)
+    ]
 
     ref_features = gelu(
         conv2d(feats[0], params["ref_proc.weight"], params["ref_proc.bias"], padding=1)

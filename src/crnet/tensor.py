@@ -327,9 +327,15 @@ def gelu(x: Tensor) -> Tensor:
     data = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
-        local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du
-        x._accumulate(g * local)
+        # 1 - t**2 is exactly 0 beyond |x| = 1e3 (float32 and float64); the bound
+        # keeps x*x finite there, so the product is 0, not 0 * inf = NaN. The
+        # in-place updates only save temporaries: the results are unchanged.
+        square = np.minimum(np.abs(x.data), 1e3)
+        square *= square
+        local = 0.5 * x.data * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * square))
+        local += 0.5 * (1.0 + t)
+        local *= g
+        x._accumulate(local)
 
     return _node(data, (x,), backward)
 

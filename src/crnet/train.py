@@ -334,9 +334,11 @@ def evaluate(
     """Per-sample metric reports plus their mean."""
     if not dataset:
         raise ValueError("evaluate: dataset is empty")
+    # Views that do not require grad, so the forward pass keeps no graph.
+    frozen = {path: Tensor(p.data) for path, p in params.items()}
     reports: List[Tuple[str, MetricReport]] = []
     for sample_id, sample in dataset:
-        prediction = forward(sample.stack, params, model_cfg)
+        prediction = forward(sample.stack, frozen, model_cfg)
         reports.append((sample_id, compute_report(prediction.data, sample.ground_truth, model_cfg.mu)))
     mean = MetricReport(
         psnr_linear=float(np.mean([r.psnr_linear for _, r in reports])),

@@ -147,6 +147,22 @@ class TestTrainEvalInfer:
         pfm = out.with_suffix(".ch0.pfm").read_bytes()
         assert pfm.startswith(b"Pf\n")
 
+    def test_infer_builds_no_graph(self, workspace, tmp_path, monkeypatch):
+        outputs = []
+        forward = cli.model_mod.forward
+
+        def capture(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli.model_mod, "forward", capture)
+        out = tmp_path / "pred.crt1"
+        stack = workspace / "data" / "sample00000.crt1a"
+        ckpt = workspace / "run" / "checkpoint.crt1a"
+        assert run(["infer", "--stack", str(stack), "--ckpt", str(ckpt), "--out", str(out), *DESK]) == 0
+        assert len(outputs) == 1
+        assert outputs[0]._parents == () and not outputs[0].requires_grad
+
     def test_numeric_failure_exit_code(self, workspace, tmp_path):
         # Poison a checkpoint and resume from it: the first loss is NaN.
         src = workspace / "run" / "checkpoint.crt1a"

@@ -171,6 +171,15 @@ class TestSSIM:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="window"):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="window"):
+            ssim(np.zeros((11, 10)), np.zeros((11, 10)))
+
+    def test_non_square_multichannel_matches_loop_oracle(self):
+        rng = np.random.default_rng(1218)
+        a = rng.uniform(0, 1, (3, 23, 31))
+        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+        want = np.mean([ssim_loops(a[c], b[c]) for c in range(3)])
+        assert ssim(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_value_in_valid_range(self):
         rng = np.random.default_rng(13)

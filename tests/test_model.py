@@ -21,7 +21,7 @@ from crnet.model import (
     validate_params,
     warp_by_flow,
 )
-from crnet.tensor import Tensor
+from crnet.tensor import Tensor, conv2d
 
 GAMMA = 1.0 / 2.2
 
@@ -165,6 +165,25 @@ class TestEstimateFlow:
                 assert np.unique(tile[0]).size == 1
                 assert np.unique(tile[1]).size == 1
 
+    def test_leading_axes_match_per_pair_calls(self):
+        # [N, B, C, H, W] frames against a [B, C, H, W] reference: one call
+        # equals the per-pair [C, H, W] calls bit for bit, including the
+        # partial edge blocks of a 20x28 frame and the all-tie constant case.
+        rng = np.random.default_rng(15)
+        noise = rng.normal(size=(2, 3, 20, 28)).astype(np.float32)
+        cases = [
+            (noise, rng.normal(size=(4, 2, 3, 20, 28)).astype(np.float32), 4),
+            (noise, rng.normal(size=(4, 2, 3, 20, 28)).astype(np.float32), 2),
+            (np.full((2, 3, 20, 28), 0.5), np.full((4, 2, 3, 20, 28), 0.5), 4),
+        ]
+        for ref, frames, radius in cases:
+            batched = estimate_flow(ref, frames, radius=radius)
+            assert batched.shape == (4, 2, 2, 20, 28) and batched.dtype == np.float32
+            for n in range(4):
+                for b in range(2):
+                    single = estimate_flow(ref[b], frames[n, b], radius=radius)
+                    assert np.array_equal(batched[n, b], single), (n, b, radius)
+
 
 class TestForward:
     def test_output_shape_contract(self):
@@ -201,6 +220,20 @@ class TestForward:
         flows = [np.zeros((2, 32, 32), np.float32) for _ in range(5)]
         out = forward(stack, params, cfg, flows=flows)
         assert out.shape == (RAW_CHANNELS, 32, 32)
+
+    def test_batched_estimate_matches_per_pair_flows(self):
+        cfg = tiny_config()
+        params = build_params(cfg, seed=0)
+        stacks = [make_stack(seed=22), make_stack(seed=23)]
+        feats = []
+        for stack in stacks:
+            frames = Tensor(preprocess(stack, cfg.gamma))
+            feats.append(conv2d(frames, params["shallow.weight"], params["shallow.bias"], padding=1).data)
+        flows = [[None] + [estimate_flow(f[0], f[i]) for i in range(1, 5)] for f in feats]
+        assert any(np.any(flow != 0) for sample in flows for flow in sample[1:])
+        estimated = forward_batch(stacks, params, cfg).data
+        given = forward_batch(stacks, params, cfg, flows=flows).data
+        assert np.array_equal(estimated, given)
 
     def test_exposure_scaling_with_fixed_flows_identical(self):
         cfg = tiny_config()

@@ -253,8 +253,9 @@ class TestElementwise:
         # and the local derivative is O(1). 16 eps leaves margin over both.
         tol = 16 * np.finfo(np.float32).eps
         mags = np.logspace(-3, 12, 61)
-        # |x| >= 7e12 overflows the float32 cube to inf; the tanh saturates to +-1 there.
-        overflow = np.array([7e12, 1e13, 1e15, 1e18])
+        # |x| >= 7e12 overflows the float32 cube to inf, and |x| >= 2e19 the
+        # square; the tanh saturates to +-1 there.
+        overflow = np.array([7e12, 1e13, 1e15, 1e18, 2e19, 1e24, 1e30, 3e38])
         grid = np.concatenate([-overflow[::-1], -mags[::-1], [0.0], mags, overflow])
         cot = np.random.default_rng(12).uniform(0.5, 1.5, grid.size)
         results = {}

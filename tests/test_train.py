@@ -345,3 +345,19 @@ class TestEvaluate:
         assert mean.psnr_mu == pytest.approx(np.mean([r.psnr_mu for _, r in reports]))
         for _, r in reports:
             assert -1.0 <= r.ssim_mu <= 1.0
+
+    def test_forward_builds_no_graph(self, monkeypatch):
+        cfg, dataset = tiny_setup(1, size=32)
+        params = build_params(cfg, seed=6)
+        train_module = sys.modules["crnet.train"]
+        outputs = []
+
+        def capture(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(train_module, "forward", capture)
+        evaluate([("s0", dataset[0])], params, cfg)
+        assert len(outputs) == 1
+        assert outputs[0]._parents == () and not outputs[0].requires_grad
+        assert np.array_equal(outputs[0].data, forward(dataset[0].stack, params, cfg).data)
