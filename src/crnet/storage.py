@@ -12,6 +12,7 @@ payload byte. Checkpoints and dataset shards both use this container.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Dict
@@ -60,7 +61,7 @@ def tensor_from_bytes(buf: bytes, offset: int = 0, context: str = "<memory>") ->
         fail("truncated dims")
     dims = struct.unpack_from(f"<{ndim}I", buf, dims_at)
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    count = math.prod(dims)  # Python ints: an int64 product can wrap to a size that passes
     payload_at = dims_at + 4 * ndim
     nbytes = count * dtype.itemsize
     if len(buf) - payload_at < nbytes:

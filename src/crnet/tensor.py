@@ -3,9 +3,9 @@
 Every differentiable primitive the network is built from lives here:
 convolution, pooling, bilinear upsampling, elementwise math, softmax,
 matmul, and concatenation. Tensors record their provenance when any
-input requires a gradient; calling ``backward()`` on a scalar result
-walks the graph in reverse topological order and accumulates gradients
-additively into every reachable tensor that asked for them.
+input requires a gradient; ``backward()`` on a scalar result walks
+the graph in reverse topological order, adds gradients into every
+reachable tensor that asked for them and frees each node behind it.
 
 Two float precisions are supported: float32 for ordinary training and
 inference, float64 for gradient verification. All tensors participating
@@ -73,24 +73,30 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)  # a copy: g may be another node's buffer
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
         Gradients accumulate additively across fan-out, so a tensor used
-        twice receives twice the gradient of a single use.
+        twice receives twice the gradient of a single use. Non-leaf nodes are
+        freed as their closures run, so a second backward() through them raises.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
-        order = _toposort(self)
+        order = _toposort(self)  # root last
         self._accumulate(np.ones_like(self.data))
         if not self.requires_grad:
             self.grad = np.ones_like(self.data)
-        for node in order:
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while order:
+            node = order.pop()
+            backward_fn, g = node._backward_fn, node.grad
+            if backward_fn is not None:
+                node._backward_fn, node._parents, node.grad = _released, (), None
+                if g is not None:
+                    backward_fn(g)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -133,7 +139,7 @@ class Tensor:
 
 
 def _toposort(root: Tensor) -> list:
-    """Reverse topological order (root first), iterative to survive deep graphs."""
+    """Topological order (root last), iterative to survive deep graphs."""
     order: list = []
     visited: set = set()
     emitted: set = set()
@@ -151,8 +157,11 @@ def _toposort(root: Tensor) -> list:
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append(parent)
-    order.reverse()
     return order
+
+
+def _released(g: np.ndarray) -> None:
+    raise RuntimeError("graph already released; backward() runs once per graph")
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -342,7 +351,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(d.dtype)
 
     def backward(g):

@@ -55,6 +55,12 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match="dtype"):
             tensor_from_bytes(bytes(buf))
 
+    def test_dims_whose_int64_product_wraps_are_rejected(self):
+        # 2**16 ** 4 = 2**64 wraps to 0 in int64; the size check must still see it
+        buf = b"CRT1" + struct.pack("<III", 1, 0, 4) + struct.pack("<4I", *(1 << 16,) * 4) + b"\0" * 16
+        with pytest.raises(FormatError, match="truncated payload"):
+            tensor_from_bytes(buf)
+
 
 class TestArchive:
     def test_roundtrip_preserves_order_and_bits(self, tmp_path):

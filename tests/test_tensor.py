@@ -1,5 +1,7 @@
 """Tests for the tensor primitives: forward oracles, gradients, invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,36 @@ class TestBackward:
         x = Tensor(np.random.default_rng(24).normal(size=(2, 3, 4, 4)), requires_grad=True, dtype=F64)
         tsum(conv2d(x, rand((2, 3, 3, 3), seed=25), padding=1)).backward()
         assert x.grad.shape == x.data.shape
+
+    def test_backward_frees_intermediate_nodes(self):
+        x = Tensor(np.array([-1.5, 0.25, 2.0]), requires_grad=True, dtype=F64)
+        square = mul(x, x)
+        square_ref = weakref.ref(square)
+        root = tsum(gelu(square))
+        del square
+        root.backward()
+        assert square_ref() is None
+        assert root._parents == ()
+        # d/dx gelu(x*x) = gelu'(x*x) * 2x, with the tanh-form gelu'
+        u = x.data * x.data
+        t = np.tanh(0.7978845608028654 * (u + 0.044715 * u**3))
+        slope = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * 0.7978845608028654 * (1.0 + 3 * 0.044715 * u * u)
+        assert np.allclose(x.grad, slope * 2.0 * x.data, rtol=1e-12, atol=0.0)
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=F64)
+        root = tsum(gelu(mul(x, x)))
+        root.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            root.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_scalar_leaf_backward_repeats(self):
+        x = Tensor(np.array(2.0), requires_grad=True, dtype=F64)
+        x.backward()
+        x.backward()
+        assert x.grad == 2.0
 
 
 class TestFiniteDifferenceHarness:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +198,24 @@ class TestTrainLoop:
         params = build_params(cfg, seed=0)
         params, history = train(dataset, cfg, tcfg, params)
         assert history[-1].loss < history[0].loss
+
+    def test_previous_step_graph_is_freed(self, monkeypatch):
+        cfg, dataset = tiny_setup(1)
+        train_module = sys.modules["crnet.train"]
+        original = train_module.forward_batch
+        inner_nodes, alive_at_call = [], []
+
+        def recording(*args, **kwargs):
+            alive_at_call.append([ref() is not None for ref in inner_nodes])
+            out = original(*args, **kwargs)
+            inner = out._parents[0]  # a node inside the graph, not the output train() binds
+            assert inner._parents
+            inner_nodes.append(weakref.ref(inner))
+            return out
+
+        monkeypatch.setattr(train_module, "forward_batch", recording)
+        train(dataset, cfg, desk_train_config(epochs=2, batch=1, seed=0), build_params(cfg, seed=0))
+        assert alive_at_call == [[], [False]]
 
     def test_fixed_seed_bit_reproducible(self):
         cfg, dataset = tiny_setup(2)
