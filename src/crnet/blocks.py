@@ -14,7 +14,6 @@ tests rely on that to pin the residual wiring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -93,20 +92,11 @@ def pool2x2(x: Tensor, kind: str) -> Tensor:
     raise ValueError(f"pool: unknown pool kind {kind!r}")
 
 
-@dataclass
-class FreqPair:
-    """Half-resolution smooth component plus full-resolution detail residual.
+def frequency_separate(x: Tensor, pool_kind: str = "avg") -> Tuple[Tensor, Tensor]:
+    """Split [B, C, H, W] features into pooled low and residual high parts.
 
-    By construction detail + upsample(smooth) reproduces the separated
-    input up to float rounding.
+    Returns (low, high); high + upsample(low) reproduces x up to float rounding.
     """
-
-    low: Tensor
-    high: Tensor
-
-
-def frequency_separate(x: Tensor, pool_kind: str = "avg") -> FreqPair:
-    """Split [B, C, H, W] features into pooled low and residual high parts."""
     if x.ndim != 4:
         raise ValueError(f"frequency_separate: input must be 4-d, got {x.shape}")
     _, _, height, width = x.shape
@@ -116,7 +106,7 @@ def frequency_separate(x: Tensor, pool_kind: str = "avg") -> FreqPair:
         )
     low = pool2x2(x, pool_kind)
     high = sub(x, bilinear_upsample(low, height, width))
-    return FreqPair(low=low, high=high)
+    return low, high
 
 
 # -- windowed multi-head self-attention --------------------------------------

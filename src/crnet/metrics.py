@@ -127,14 +127,6 @@ class MetricReport:
 
     CSV_HEADER = "sample_id,psnr_l,psnr_mu,ssim_l,ssim_mu"
 
-    def to_text(self) -> str:
-        return (
-            f"psnr_linear={self.psnr_linear:.6f}\n"
-            f"psnr_mu={self.psnr_mu:.6f}\n"
-            f"ssim_linear={self.ssim_linear:.6f}\n"
-            f"ssim_mu={self.ssim_mu:.6f}\n"
-        )
-
     def to_csv_row(self, sample_id: str) -> str:
         return (
             f"{sample_id},{self.psnr_linear:.6f},{self.psnr_mu:.6f},"

@@ -15,6 +15,7 @@ what checkpoint validation compares against.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,10 +62,13 @@ class CRNetConfig:
     mu: float = 5000.0
 
     def validate(self) -> None:
-        if self.base_channels < 1 or self.n_ceb < 1 or self.n_hfem < 1:
-            raise ValueError("config: channel and block counts must be >= 1")
-        if sum(self.mbb_split) != blocks.MBB_TOTAL_CONVS:
-            raise ValueError(f"config: mbb_split {self.mbb_split} must sum to {blocks.MBB_TOTAL_CONVS}")
+        counts = ("base_channels", "n_ceb", "n_hfem", "attn_window", "attn_heads", "ffn_expansion", "ca_reduction")
+        too_small = [name for name in counts if getattr(self, name) < 1]
+        if too_small:
+            raise ValueError(f"config: {', '.join(too_small)} must be >= 1")
+        split = self.mbb_split
+        if len(split) != 2 or min(split) < 0 or sum(split) != blocks.MBB_TOTAL_CONVS:
+            raise ValueError(f"config: mbb_split {split} must be two counts >= 0 that sum to {blocks.MBB_TOTAL_CONVS}")
         if self.base_channels % self.attn_heads != 0:
             raise ValueError(
                 f"config: base_channels {self.base_channels} not divisible by attn_heads {self.attn_heads}"
@@ -85,8 +89,8 @@ class CRNetConfig:
             raise ValueError(
                 f"config: base_channels {self.base_channels} not divisible by ffn_expansion {self.ffn_expansion}"
             )
-        if self.mu <= 0 or self.gamma <= 0:
-            raise ValueError("config: mu and gamma must be positive")
+        if not (0 < self.mu < math.inf and 0 < self.gamma < math.inf):
+            raise ValueError("config: mu and gamma must be positive and finite")
 
 
 # Read noise can swing a raw value slightly below the black point; frames
@@ -337,8 +341,7 @@ def validate_params(params: Params, cfg: CRNetConfig) -> None:
 
 def _hfem_forward(x: Tensor, params: Params, cfg: CRNetConfig) -> Tensor:
     if cfg.freq_separation:
-        pair = frequency_separate(x, cfg.pool_kind)
-        high_in, low_in = pair.high, pair.low
+        low_in, high_in = frequency_separate(x, cfg.pool_kind)
     else:
         # Ablation: attend over the unseparated map and keep a plain
         # downsampled copy as the half-resolution stream.
@@ -454,35 +457,26 @@ def forward(
 
 # -- ablation variants ------------------------------------------------------------
 
-ABLATION_VARIANTS = (
-    "full",
-    "no_freq_sep",
-    "mbb_2_2",
-    "mbb_4_0",
-    "ceb_3x3x3",
-    "ceb_5x5_3x3",
-    "ffn_normal_bottleneck",
-    "ffn_flat",
-    "recurrent",
-)
+# Config overrides of each named architecture variant, in reporting order.
+_ABLATION_OVERRIDES = {
+    "full": {},
+    "no_freq_sep": {"freq_separation": False},
+    "mbb_2_2": {"mbb_split": (2, 2)},
+    "mbb_4_0": {"mbb_split": (4, 0)},
+    "ceb_3x3x3": {"ceb_kernel_mode": "three_dw3"},
+    "ceb_5x5_3x3": {"ceb_kernel_mode": "dw5_dw3"},
+    "ffn_normal_bottleneck": {"ffn_mode": "normal_bottleneck"},
+    "ffn_flat": {"ffn_mode": "flat"},
+    "recurrent": {"fusion_mode": "recurrent"},
+}
+ABLATION_VARIANTS = tuple(_ABLATION_OVERRIDES)
 
 
 def build_ablation_variant(
     name: str, cfg: CRNetConfig, seed: int = 0
 ) -> Tuple[CRNetConfig, Params]:
     """Config/params pair for a named architecture variant of cfg."""
-    overrides = {
-        "full": {},
-        "no_freq_sep": {"freq_separation": False},
-        "mbb_2_2": {"mbb_split": (2, 2)},
-        "mbb_4_0": {"mbb_split": (4, 0)},
-        "ceb_3x3x3": {"ceb_kernel_mode": "three_dw3"},
-        "ceb_5x5_3x3": {"ceb_kernel_mode": "dw5_dw3"},
-        "ffn_normal_bottleneck": {"ffn_mode": "normal_bottleneck"},
-        "ffn_flat": {"ffn_mode": "flat"},
-        "recurrent": {"fusion_mode": "recurrent"},
-    }
-    if name not in overrides:
+    if name not in _ABLATION_OVERRIDES:
         raise ValueError(f"unknown ablation variant {name!r}; choose from {ABLATION_VARIANTS}")
-    variant_cfg = dataclasses.replace(cfg, **overrides[name])
+    variant_cfg = dataclasses.replace(cfg, **_ABLATION_OVERRIDES[name])
     return variant_cfg, build_params(variant_cfg, seed=seed)

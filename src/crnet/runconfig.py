@@ -16,7 +16,7 @@ from typing import Dict
 
 from .model import CRNetConfig
 from .synth import DegradeSpec, SceneSpec
-from .train import DESK_MODEL_OVERRIDES, DESK_TRAIN_OVERRIDES, TrainConfig
+from .train import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -32,6 +32,19 @@ _SECTIONS = (
 # Not settable through the flat key space: per-sample seeds and motion
 # curves are derived, not configured.
 _EXCLUDED = {("scene", "seed"), ("scene", "motion")}
+
+# Desk-scale preset (--preset desk): small enough that the full
+# acceptance run fits a laptop CPU budget.
+DESK_PRESET: Dict[str, object] = {
+    "model.base_channels": 8,
+    "model.n_ceb": 2,
+    "model.n_hfem": 1,
+    "model.attn_heads": 2,
+    "train.crop": 32,
+    "train.epochs": 10,
+    "train.batch": 2,
+    "scene.size": (32, 32),
+}
 
 
 def registry() -> Dict[str, object]:
@@ -150,21 +163,11 @@ def parse_overrides(pairs) -> Dict[str, object]:
     return values
 
 
-def desk_preset() -> Dict[str, object]:
-    values: Dict[str, object] = {}
-    for name, value in DESK_MODEL_OVERRIDES.items():
-        values[f"model.{name}"] = value
-    for name, value in DESK_TRAIN_OVERRIDES.items():
-        values[f"train.{name}"] = value
-    values["scene.size"] = (32, 32)
-    return values
-
-
 def resolve(config_file=None, overrides=None, preset: str | None = None) -> RunConfig:
     """Layer defaults <- preset <- config file <- --set overrides."""
     values: Dict[str, object] = {}
     if preset == "desk":
-        values.update(desk_preset())
+        values.update(DESK_PRESET)
     elif preset is not None:
         raise ConfigError(f"unknown preset {preset!r}; available: desk")
     if config_file is not None:

@@ -13,6 +13,7 @@ payload byte. Checkpoints and dataset shards both use this container.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Dict
@@ -93,10 +94,19 @@ def write_archive(path, entries: Dict[str, np.ndarray]) -> None:
         blobs.append(blob)
         offset += len(blob)
     manifest = "\n".join(manifest_lines) + "\n\n"
-    with open(path, "wb") as fh:
-        fh.write(manifest.encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+    # Written beside path, synced, then renamed over it: a write that fails
+    # or is cut off leaves the previous file at path untouched.
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(manifest.encode("utf-8"))
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_archive(path) -> Dict[str, np.ndarray]:
@@ -120,10 +130,12 @@ def read_archive(path) -> Dict[str, np.ndarray]:
             raise FormatError(f"{path}: duplicate entry {name!r}")
         try:
             offset = int(offset_s)
+            expect = tuple(int(s) for s in shape_s.split(",") if s != "")
         except ValueError:
-            raise FormatError(f"{path}: manifest line {lineno} has bad offset {offset_s!r}") from None
+            raise FormatError(f"{path}: manifest line {lineno} has bad offset or shape {line!r}") from None
+        if offset < 0:
+            raise FormatError(f"{path}: manifest line {lineno} has negative offset {offset}")
         arr, _ = tensor_from_bytes(raw, payload_at + offset, context=str(path))
-        expect = tuple(int(s) for s in shape_s.split(",") if s != "")
         if arr.shape != expect:
             raise FormatError(
                 f"{path} entry {name!r}: manifest shape {expect} != stored shape {arr.shape}"

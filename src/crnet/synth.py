@@ -183,18 +183,13 @@ def render_bracket(
     frames: List[np.ndarray] = []
     for i in range(NUM_FRAMES):
         ratio = times[i] / times[0]
-        if i in BLUR_FRAMES and degrade.blur_taps > 1:
-            drift = motion[i] - motion[i - 1]
-            taps = np.linspace(0.0, 1.0, degrade.blur_taps)
-            shifted = np.mean(
-                [
-                    translate(motion[i, 0] + t * drift[0], motion[i, 1] + t * drift[1])
-                    for t in taps
-                ],
-                axis=0,
-            )
-        else:
-            shifted = translate(motion[i, 0], motion[i, 1])
+        # A sharp frame is the blur average over the single tap t = 0.
+        taps = np.linspace(0.0, 1.0, degrade.blur_taps) if i in BLUR_FRAMES else (0.0,)
+        drift = motion[i] - motion[i - 1]
+        shifted = np.mean(
+            [translate(motion[i, 0] + t * drift[0], motion[i, 1] + t * drift[1]) for t in taps],
+            axis=0,
+        )
         clean = np.clip(shifted * ratio / peak, 0.0, 1.0)
         read = rng.standard_normal(clean.shape) * degrade.read_noise_sigma
         shot = rng.standard_normal(clean.shape) * np.sqrt(degrade.shot_noise_scale * clean)

@@ -119,9 +119,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -248,34 +245,6 @@ def mul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward)
-
-
-def power(x: Tensor, exponent: float) -> Tensor:
-    """Elementwise x**p for a scalar exponent.
-
-    Non-integer exponents require non-negative input (negative-base guard).
-    """
-    p = float(exponent)
-    if p != round(p) and np.any(x.data < 0):
-        raise ValueError(f"power: fractional exponent {p} on negative values")
-    data = x.data**p
-
-    def backward(g):
-        x._accumulate(g * p * x.data ** (p - 1.0))
-
-    return _node(data, (x,), backward)
-
-
-def tlog(x: Tensor) -> Tensor:
-    """Natural logarithm; input must be strictly positive."""
-    if np.any(x.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-    data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return _node(data, (x,), backward)
 
 
 def tabs(x: Tensor) -> Tensor:

@@ -9,6 +9,7 @@ update and leaves the last good checkpoint in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,22 +64,8 @@ class TrainConfig:
             raise ValueError(f"train: crop must be even and >= 2, got {self.crop}")
         if self.epochs < 1 or self.batch < 1 or self.ckpt_every < 1:
             raise ValueError("train: epochs, batch and ckpt_every must be >= 1")
-        if self.initial_lr <= 0 or not (0 < self.lr_gamma <= 1) or self.lr_step_epochs < 1:
+        if not (0 < self.initial_lr < math.inf and 0 < self.lr_gamma <= 1) or self.lr_step_epochs < 1:
             raise ValueError("train: bad learning-rate schedule settings")
-
-
-# Desk-scale preset: small enough that the full acceptance run fits a
-# laptop CPU budget.
-DESK_MODEL_OVERRIDES = {"base_channels": 8, "n_ceb": 2, "n_hfem": 1, "attn_heads": 2}
-DESK_TRAIN_OVERRIDES = {"crop": 32, "epochs": 10, "batch": 2}
-
-
-def desk_model_config(**extra) -> CRNetConfig:
-    return CRNetConfig(**{**DESK_MODEL_OVERRIDES, **extra})
-
-
-def desk_train_config(**extra) -> TrainConfig:
-    return TrainConfig(**{**DESK_TRAIN_OVERRIDES, **extra})
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -197,15 +184,13 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
 # -- augmentation ----------------------------------------------------------------
 
 
-def augment(sample: SampleRecord, rng: np.random.Generator, crop: Optional[int] = None) -> SampleRecord:
+def augment(sample: SampleRecord, rng: np.random.Generator, crop: int) -> SampleRecord:
     """Shared random crop plus dihedral flip/rotation.
 
     One draw applies identically to all five frames and the ground
     truth; exposure times pass through untouched.
     """
     _, h, w = sample.ground_truth.shape
-    if crop is None:
-        crop = min(h, w)
     if crop > h or crop > w:
         raise ValueError(f"augment: crop {crop} exceeds sample extents {h}x{w}")
     oy = int(rng.integers(0, h - crop + 1))
@@ -267,6 +252,11 @@ def train(
     train_cfg.validate()
     if state is None:
         state = init_optim_state(params, train_cfg)
+    # A restored state keeps its moments and step count; the optimizer
+    # settings follow train_cfg, as the learning rate does below.
+    state.betas = (train_cfg.beta1, train_cfg.beta2)
+    state.weight_decay = train_cfg.weight_decay
+    state.eps = train_cfg.eps
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

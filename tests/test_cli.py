@@ -208,7 +208,22 @@ class TestAblateAndParams:
 
 class TestConfigSurface:
     @pytest.mark.parametrize(
-        "pair", ["bogus.key=1", "train.ckpt_every=0", "model.base_channels=0", "train.epochs=0"]
+        "pair",
+        [
+            "bogus.key=1",
+            "train.ckpt_every=0",
+            "model.base_channels=0",
+            "train.epochs=0",
+            "model.attn_heads=0",
+            "model.ca_reduction=0",
+            "model.ffn_expansion=0",
+            "model.attn_window=0",
+            "model.mbb_split=5,-1",
+            "model.mbb_split=4",
+            "model.mu=nan",
+            "model.gamma=inf",
+            "train.initial_lr=nan",
+        ],
     )
     def test_unknown_key_is_usage_error(self, pair):
         # An unknown key and a value its section's validate() rejects are both usage errors.

@@ -197,11 +197,6 @@ class TestMetricReport:
         assert row.split(",")[0] == "sample00001"
         assert len(row.split(",")) == 5
 
-    def test_text_block_roundtrip_keys(self):
-        report = MetricReport(30.0, 31.5, 0.9, 0.95)
-        lines = dict(line.split("=") for line in report.to_text().strip().splitlines())
-        assert set(lines) == {"psnr_linear", "psnr_mu", "ssim_linear", "ssim_mu"}
-
     def test_compute_report(self):
         rng = np.random.default_rng(14)
         a = rng.uniform(0, 1, (2, 16, 16))

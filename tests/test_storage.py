@@ -1,10 +1,12 @@
 """Round-trip and corruption tests for the binary container formats."""
 
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from crnet import storage
 from crnet.storage import (
     FormatError,
     read_archive,
@@ -98,6 +100,62 @@ class TestArchive:
         path.write_bytes(b"x\t0\t2\n" + b"garbage")
         with pytest.raises(FormatError, match="terminator"):
             read_archive(path)
+
+    def test_truncated_or_corrupted_archive_raises_only_format_error(self, tmp_path):
+        path = tmp_path / "a.crt1a"
+        write_archive(path, {"w": np.zeros((2, 3), np.float32), "b": np.zeros(2, np.float32)})
+        raw = path.read_bytes()
+        cases = [raw[:n] for n in range(len(raw))]
+        for at in range(len(raw)):
+            for value in b"\x00\xffx-,9":
+                cases.append(raw[:at] + bytes([value]) + raw[at + 1 :])
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                read_archive(path)
+            except FormatError:
+                continue
+            # A substitution in a payload or an entry name can still read
+            # back as a well-formed archive; a truncation never does.
+            assert len(case) == len(raw), case
+
+    def test_negative_manifest_offset(self, tmp_path):
+        path = tmp_path / "a.crt1a"
+        write_archive(path, {"w": np.zeros(2, np.float32), "b": np.zeros(2, np.float32)})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\nb\t", b"\nb\t-", 1))
+        with pytest.raises(FormatError, match="negative offset"):
+            read_archive(path)
+
+    def test_failed_write_keeps_previous_archive(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.crt1a"
+        write_archive(path, {"x": np.ones(4, np.float32)})
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file whose second write fails, as on a disk that fills up."""
+
+            def __init__(self, *args):
+                self.fh = open(*args)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(storage, "open", FullDisk, raising=False)
+        with pytest.raises(OSError):
+            write_archive(path, {"x": np.zeros(4, np.float32), "y": np.zeros(8, np.float32)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.crt1a"]
 
     def test_forbidden_entry_name(self, tmp_path):
         with pytest.raises(FormatError, match="forbidden"):

@@ -19,12 +19,10 @@ from crnet.tensor import (
     matmul,
     max_pool2d,
     mul,
-    power,
     sigmoid,
     softmax,
     sub,
     tabs,
-    tlog,
     tmean,
     tsum,
 )
@@ -306,18 +304,6 @@ class TestElementwise:
         with pytest.raises(ValueError, match="dtype"):
             add(rand((2, 2), dtype=np.float32), rand((2, 2), dtype=F64))
 
-    def test_power_negative_base_guard(self):
-        with pytest.raises(ValueError, match="negative"):
-            power(Tensor(np.array([-1.0])), 0.5)
-
-    def test_power_forward(self):
-        out = power(Tensor(np.array([0.0, 0.25, 4.0]), dtype=F64), 0.5)
-        assert np.allclose(out.data, [0.0, 0.5, 2.0])
-
-    def test_log_domain(self):
-        with pytest.raises(ValueError, match="positive"):
-            tlog(Tensor(np.array([0.0])))
-
     def test_clamp_min(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True, dtype=F64)
         out = clamp_min(x, 0.0)
@@ -333,16 +319,11 @@ class TestElementwise:
             lambda t: tsum(mul(softmax(t, -1), softmax(t, -1))),
             lambda t: tsum(tabs(t)),
             lambda t: tmean(mul(t, t)),
-            lambda t: tsum(power(add(mul(t, t), 1.0), 1.5)),
         ],
     )
     def test_elementwise_gradchecks(self, fn):
         x = rand((2, 3, 4), seed=18)
         assert finite_difference_check(fn, x) < 1e-6
-
-    def test_log_gradcheck(self):
-        x = Tensor(np.random.default_rng(19).uniform(0.5, 2.0, (3, 3)), dtype=F64)
-        assert finite_difference_check(lambda t: tsum(tlog(t)), x) < 1e-6
 
 
 class TestMatmul:

@@ -1,5 +1,6 @@
 """Optimizer, schedule, augmentation, loop, and checkpoint tests."""
 
+import dataclasses
 import math
 import sys
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from crnet.model import build_params, forward
+from crnet.runconfig import resolve
 from crnet.storage import read_archive, write_archive
 from crnet.synth import DegradeSpec, SceneSpec, generate_sample
 from crnet import tensor as tensor_mod
@@ -18,8 +20,6 @@ from crnet.train import (
     TrainConfig,
     adamw_step,
     augment,
-    desk_model_config,
-    desk_train_config,
     evaluate,
     history_to_csv,
     init_optim_state,
@@ -28,6 +28,16 @@ from crnet.train import (
     save_checkpoint,
     train,
 )
+
+DESK = resolve(preset="desk")
+
+
+def desk_model_config(**extra):
+    return dataclasses.replace(DESK.model, **extra)
+
+
+def desk_train_config(**extra):
+    return dataclasses.replace(DESK.train, **extra)
 
 
 def scalar_state(lr=0.01, wd=0.0):
@@ -246,6 +256,19 @@ class TestTrainLoop:
         assert tail_hist, "resumed run should continue"
         for h in tail_hist:
             assert full_by_step[h.step] == h.loss
+
+    def test_resume_follows_run_config_optimizer_keys(self, tmp_path):
+        cfg, dataset = tiny_setup(2)
+        half_cfg = desk_train_config(epochs=2, batch=1, seed=9, ckpt_every=100)
+        train(dataset, cfg, half_cfg, build_params(cfg, seed=2), out_dir=tmp_path)
+        finals = []
+        for decay in (0.0, 0.5):
+            params, state = load_checkpoint(tmp_path / "checkpoint.crt1a", cfg)
+            tcfg = desk_train_config(epochs=3, batch=1, seed=9, weight_decay=decay)
+            train(dataset, cfg, tcfg, params, state)
+            assert state.weight_decay == decay
+            finals.append(params["head.weight"].data)
+        assert not np.array_equal(finals[0], finals[1])
 
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path):
         cfg, dataset = tiny_setup(1)
