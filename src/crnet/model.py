@@ -127,8 +127,9 @@ class ExposureStack:
                 raise ValueError(f"stack: frame {i} shape {arr.shape} != frame 0 shape {shape}")
             if arr.ndim != 3 or arr.shape[0] != RAW_CHANNELS:
                 raise ValueError(f"stack: frame {i} must be [{RAW_CHANNELS}, H, W], got {arr.shape}")
-            if np.any(arr < -BLACK_POINT_TOLERANCE) or np.any(arr > 1):
-                raise ValueError(f"stack: frame {i} has values outside [0, 1]")
+            # Written so that NaN fails it: every comparison with NaN is false.
+            if arr.size and not (arr.min() >= -BLACK_POINT_TOLERANCE and arr.max() <= 1):
+                raise ValueError(f"stack: frame {i} has values outside [0, 1] or not finite")
 
 
 def preprocess(stack: ExposureStack, gamma: float = 1.0 / 2.2, dtype=np.float32) -> np.ndarray:

@@ -45,10 +45,10 @@ class SceneSpec:
 
     def validate(self) -> None:
         h, w = self.size
-        if h % 2 or w % 2:
-            raise ValueError(f"scene: size {self.size} must be even in both extents")
-        if self.dynamic_range <= 1:
-            raise ValueError(f"scene: dynamic_range must exceed 1, got {self.dynamic_range}")
+        if h % 2 or w % 2 or h < 2 or w < 2:
+            raise ValueError(f"scene: size {self.size} must be positive and even in both extents")
+        if not 1 < self.dynamic_range < np.inf:
+            raise ValueError(f"scene: dynamic_range must be finite and exceed 1, got {self.dynamic_range}")
         if np.asarray(self.motion).shape != (NUM_FRAMES, 2):
             raise ValueError(f"scene: motion must be [{NUM_FRAMES}, 2] (dx, dy) rows")
 
@@ -68,6 +68,8 @@ class DegradeSpec:
             )
         if self.blur_taps < 1:
             raise ValueError("degrade: blur_taps must be >= 1")
+        if not (0 <= self.read_noise_sigma < np.inf and 0 <= self.shot_noise_scale < np.inf):
+            raise ValueError("degrade: noise values must be finite and >= 0")
 
 
 @dataclass

@@ -413,32 +413,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution -----------------------------------------------------------
 
 
-def _correlate(a: np.ndarray, w: np.ndarray, groups: int, ph: int, pw: int):
-    """Stride-1 grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
+def _taps(a: np.ndarray, groups: int, kh: int, kw: int, ph: int, pw: int):
+    """Yield (i, j, view) per kernel tap of a [B, Cin, H, W] zero-padded by (ph, pw) per side.
 
-    a is first zero-padded by (ph, pw) per side of its last two axes; a
-    negative amount crops instead. The windows are gathered im2col style
-    and contracted with one batched matmul. Returns the output
-    [B, Cout, H', W'] and the columns [B, G, Cg*kh*kw, H'*W'].
+    A negative amount crops. Output pixel (y, x) sits at y*Wp + x of the flat padded
+    input and tap (i, j) reads from i*Wp + j on, so view is [B, groups, Cin/groups, H'*Wp]
+    with Wp - W' junk columns per row. One more zero row keeps the last tap in range.
     """
     ch, cw = max(-ph, 0), max(-pw, 0)
     a = a[:, :, ch : a.shape[2] - ch, cw : a.shape[3] - cw]
-    if ph > 0 or pw > 0:
-        a = np.pad(a, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+    ph, pw = max(ph, 0), max(pw, 0)
     batch, cin, height, width = a.shape
+    hp, wp = height + 2 * ph, width + 2 * pw
+    flat = np.ascontiguousarray(a)
+    if (ph, pw, kw) != (0, 0, 1):
+        flat = np.zeros((batch, cin, hp + 1, wp), a.dtype)
+        flat[:, :, ph : ph + height, pw : pw + width] = a
+    flat = flat.reshape(batch, groups, cin // groups, -1)
+    size = (hp - kh + 1) * wp
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, flat[..., i * wp + j : i * wp + j + size]
+
+
+def _correlate(a: np.ndarray, w: np.ndarray, groups: int, ph: int, pw: int) -> np.ndarray:
+    """Stride-1 grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
+
+    a is zero-padded by (ph, pw) per side first (a negative amount crops). Each tap adds its
+    weights times its view from _taps (kn2row): a matmul, or a broadcast multiply when Cin/groups == 1.
+    """
+    batch, _, height, width = a.shape
     cout, cg, kh, kw = w.shape
-    out_h, out_w = height - kh + 1, width - kw + 1
-    sb, sc, sh, sw = a.strides
-    windows = np.lib.stride_tricks.as_strided(
-        a,
-        shape=(batch, cin, kh, kw, out_h, out_w),
-        strides=(sb, sc, sh, sw, sh, sw),
-        writeable=False,
-    )
-    cols = windows.reshape(batch, groups, cg * kh * kw, out_h * out_w)
-    w2 = w.reshape(groups, cout // groups, cg * kh * kw)
-    out = np.matmul(w2[None], cols).reshape(batch, cout, out_h, out_w)
-    return out, cols
+    out_h, wp = height + 2 * ph - kh + 1, width + 2 * pw
+    # [kh, kw, groups, Cout/groups, Cg], contiguous per tap so matmul stays on BLAS
+    wt = np.ascontiguousarray(w.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2))
+    out = np.empty((batch, groups, cout // groups, out_h * wp), a.dtype)
+    part = np.empty_like(out)
+    product = np.multiply if cg == 1 else np.matmul
+    taps = _taps(a, groups, kh, kw, ph, pw)
+    product(wt[0, 0], next(taps)[2], out=out)
+    for i, j, view in taps:
+        product(wt[i, j], view, out=part)
+        out += part
+    return np.ascontiguousarray(out.reshape(batch, cout, out_h, wp)[..., : wp - kw + 1])
 
 
 def conv2d(
@@ -451,12 +468,13 @@ def conv2d(
     """2-d cross-correlation over [B, Cin, H, W] with grouped kernels.
 
     weight is [Cout, Cin/groups, kh, kw]; groups == Cin gives the
-    depthwise case. The stride is 1, so the output extent is
-    H' = H + 2*padding - kh + 1. Implemented as im2col plus
-    one batched matmul per call; single-threaded deterministic. The
-    input gradient goes through the same im2col path: it is the output
-    gradient, padded by k-1-padding, correlated with the kernel flipped
-    in space and transposed within each group.
+    depthwise case. The stride is 1, so H' = H + 2*padding - kh + 1. Each
+    kernel tap is one product over a shifted view of the flat zero-padded
+    input (kn2row), so no kh*kw-fold im2col columns are made or kept:
+    backward re-pads x and sums, per tap, the output gradient against the
+    same views. The input gradient is the output gradient, padded by
+    k-1-padding, correlated with the kernel flipped in space and
+    transposed within each group.
     """
     parents = [x, weight] + ([bias] if bias is not None else [])
     _check_same_dtype(*parents)
@@ -469,37 +487,36 @@ def conv2d(
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
     if cin % groups != 0 or cout % groups != 0:
-        raise ValueError(
-            f"conv2d: channel axes not divisible by groups={groups} (Cin={cin}, Cout={cout})"
-        )
+        raise ValueError(f"conv2d: channel axes not divisible by groups={groups} (Cin={cin}, Cout={cout})")
     if cg != cin // groups:
-        raise ValueError(
-            f"conv2d: weight channel axis is {cg}, expected Cin/groups = {cin // groups}"
-        )
+        raise ValueError(f"conv2d: weight channel axis is {cg}, expected Cin/groups = {cin // groups}")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
     out_h = height + 2 * padding - kh + 1
     out_w = width + 2 * padding - kw + 1
     if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"conv2d: kernel {kh}x{kw} with padding {padding} exceeds input {height}x{width}"
-        )
+        raise ValueError(f"conv2d: kernel {kh}x{kw} with padding {padding} exceeds input {height}x{width}")
 
-    out, cols = _correlate(x.data, weight.data, groups, padding, padding)
+    out = _correlate(x.data, weight.data, groups, padding, padding)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
     def backward(g):
-        g4 = g.reshape(batch, groups, cout // groups, out_h * out_w)
-        dw = np.matmul(g4, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-        weight._accumulate(dw.reshape(weight.shape))
+        # g in the taps' row layout, zeros in the junk columns
+        gp = np.zeros((batch, cout, out_h, width + 2 * padding), g.dtype)
+        gp[..., :out_w] = g
+        gp = gp.reshape(batch, groups, cout // groups, -1)
+        dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
+        for i, j, view in _taps(x.data, groups, kh, kw, padding, padding):
+            dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
+        weight._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(weight.shape))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
             wt = weight.data.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
             wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
-            x._accumulate(_correlate(g, wt, groups, kh - 1 - padding, kw - 1 - padding)[0])
+            x._accumulate(_correlate(g, wt, groups, kh - 1 - padding, kw - 1 - padding))
 
     return _node(out, parents, backward)
 

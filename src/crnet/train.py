@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("train: epochs, batch and ckpt_every must be >= 1")
         if not (0 < self.initial_lr < math.inf and 0 < self.lr_gamma <= 1) or self.lr_step_epochs < 1:
             raise ValueError("train: bad learning-rate schedule settings")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 < self.eps < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError("train: need 0 <= beta1, beta2 < 1, 0 < eps < inf and 0 <= weight_decay < inf")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

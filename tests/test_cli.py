@@ -223,6 +223,15 @@ class TestConfigSurface:
             "model.mu=nan",
             "model.gamma=inf",
             "train.initial_lr=nan",
+            "train.beta1=nan",
+            "train.beta1=1",
+            "train.beta2=1.5",
+            "train.eps=-1",
+            "train.weight_decay=nan",
+            "scene.size=0,0",
+            "scene.dynamic_range=nan",
+            "data.shot_noise_scale=-1",
+            "data.read_noise_sigma=-1",
         ],
     )
     def test_unknown_key_is_usage_error(self, pair):

@@ -68,6 +68,13 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="increasing"):
             make_stack(times=(1.0, 4.0, 4.0, 64.0, 256.0)).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.5])
+    def test_non_finite_or_out_of_range_frame_rejected(self, bad):
+        stack = make_stack(seed=7)
+        stack.frames[3][1, 5, 9] = bad
+        with pytest.raises(ValueError, match="frame 3"):
+            stack.validate()
+
     def test_exposure_scale_invariance(self):
         stack_a = make_stack(seed=5)
         stack_b = make_stack(seed=5, times=tuple(2.0 * t for t in stack_a.exposure_times))

@@ -63,6 +63,26 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match="truncated payload"):
             tensor_from_bytes(buf)
 
+    def test_truncated_or_corrupted_blob_raises_only_format_error(self):
+        blobs = [
+            tensor_to_bytes(np.arange(6, dtype=np.float32).reshape(2, 3)),
+            tensor_to_bytes(np.array([1.5, -2.0], dtype=np.float64)),
+            tensor_to_bytes(np.asarray(np.float64(4.25))),
+        ]
+        for raw in blobs:
+            cases = [raw[:n] for n in range(len(raw))]
+            for at in range(len(raw)):
+                for value in b"\x00\x01\x02\x10\x7f\x80\xff":
+                    cases.append(raw[:at] + bytes([value]) + raw[at + 1 :])
+            for case in cases:
+                try:
+                    arr, used = tensor_from_bytes(case)
+                except FormatError:
+                    continue
+                # A substitution that leaves a well-formed header reads back.
+                assert len(case) == len(raw) and used <= len(case), case
+                assert arr.dtype in (np.float32, np.float64)
+
 
 class TestArchive:
     def test_roundtrip_preserves_order_and_bits(self, tmp_path):

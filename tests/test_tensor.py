@@ -1,5 +1,6 @@
 """Tests for the tensor primitives: forward oracles, gradients, invariants."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -84,12 +85,22 @@ class TestConv2d:
         out = conv2d(x, Tensor(delta, dtype=F64), padding=1, groups=4)
         assert np.allclose(out.data, x.data)
 
-    @pytest.mark.parametrize("padding,groups", [(1, 1), (0, 2), (2, 4)])
-    def test_matches_loop_oracle(self, padding, groups):
+    @pytest.mark.parametrize(
+        "padding,groups,cout,kernel",
+        [
+            pytest.param(1, 1, 4, (3, 3), id="1-1"),
+            pytest.param(0, 2, 4, (3, 3), id="0-2"),
+            pytest.param(2, 4, 4, (3, 3), id="2-4"),
+            pytest.param(1, 4, 8, (3, 3), id="depth-multiplier"),
+            pytest.param(1, 1, 4, (3, 5), id="3x5"),
+            pytest.param(4, 2, 4, (3, 3), id="padding-past-kernel"),
+        ],
+    )
+    def test_matches_loop_oracle(self, padding, groups, cout, kernel):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 4, 6, 8))
-        w = rng.normal(size=(4, 4 // groups, 3, 3))
-        b = rng.normal(size=(4,))
+        w = rng.normal(size=(cout, 4 // groups) + kernel)
+        b = rng.normal(size=(cout,))
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding, groups=groups)
         want = conv2d_loops(x, w, b, padding, groups)
         assert got.shape == want.shape
@@ -144,6 +155,64 @@ class TestConv2d:
         assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-6
         assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
         assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
+
+    def test_gradcheck_depth_multiplier(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 4, 5, 6)), dtype=F64)
+        w = Tensor(rng.normal(size=(8, 1, 3, 3)), dtype=F64)
+        c = Tensor(rng.normal(size=(2, 8, 5, 6)), dtype=F64)
+        assert finite_difference_check(lambda t: tsum(mul(conv2d(t, w, padding=1, groups=4), c)), x) < 1e-6
+        assert finite_difference_check(lambda t: tsum(mul(conv2d(x, t, padding=1, groups=4), c)), w) < 1e-6
+
+    def test_depthwise_forward_keeps_no_columns(self):
+        # An im2col conv keeps a kh*kw-fold copy of its input for backward
+        # (about 50x here); the per-tap conv keeps only its output.
+        x = rand((1, 16, 32, 32), seed=11)
+        x.requires_grad = True
+        w = rand((16, 1, 7, 7), seed=12)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = conv2d(x, w, padding=3, groups=16)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert kept < 3 * x.data.nbytes
+
+    def test_depthwise_7x7_float32_matches_float64(self):
+        # Every output, input-gradient and weight-gradient entry is a sum of K
+        # products: K = 49 taps for the first two, and for the weight gradient
+        # at most one per position of the flat padded row layout, H'*Wp (the
+        # junk columns add exact zeros). Summed in any order, a sum of K
+        # rounded products is within gamma_K = K*u/(1-K*u) of the exact one,
+        # relative to the sum of the products' magnitudes (u the unit
+        # roundoff). The inputs are float32 values, so float64 sees them
+        # exactly; its own gamma_K is added.
+        rng = np.random.default_rng(13)
+        x0, w0, c0 = (
+            rng.normal(size=shape).astype(np.float32)
+            for shape in ((1, 64, 32, 32), (64, 1, 7, 7), (1, 64, 32, 32))
+        )
+
+        def run(dtype, x_data, w_data, c_data):
+            x = Tensor(x_data.astype(dtype), requires_grad=True)
+            w = Tensor(w_data.astype(dtype), requires_grad=True)
+            out = conv2d(x, w, padding=3, groups=64)
+            tsum(mul(out, Tensor(c_data.astype(dtype)))).backward()
+            return [a.astype(F64) for a in (out.data, x.grad, w.grad)]
+
+        got = run(np.float32, x0, w0, c0)
+        want = run(F64, x0, w0, c0)
+        magnitude = run(F64, np.abs(x0), np.abs(w0), np.abs(c0))
+
+        def gamma(k, dtype):
+            u = np.finfo(dtype).eps / 2
+            return k * u / (1 - k * u)
+
+        for a, b, m, k in zip(got, want, magnitude, (49, 49, 32 * 38)):
+            tol = (gamma(k, np.float32) + gamma(k, F64)) * m
+            assert np.all(np.abs(a - b) <= tol)
 
     def test_deterministic(self):
         x = rand((2, 3, 8, 8), seed=8, dtype=np.float32)
