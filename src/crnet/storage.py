@@ -7,7 +7,9 @@ CRT1 layout, all integers little-endian:
 An archive holds several named CRT1 blobs behind a text manifest:
 ordered ``path<TAB>offset<TAB>shape`` lines (UTF-8, LF endings), a blank
 line, then the concatenated blobs. Offsets are relative to the first
-payload byte. Checkpoints and dataset shards both use this container.
+payload byte; the blobs tile the payload in manifest order, with no gap,
+overlap or trailing byte. Checkpoints and dataset shards both use this
+container.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def read_archive(path) -> Dict[str, np.ndarray]:
         raise FormatError(f"{path}: manifest is not UTF-8 ({exc})") from None
     payload_at = sep + 2
     out: Dict[str, np.ndarray] = {}
+    end = 0  # where the previous blob ended
     for lineno, line in enumerate(manifest.split("\n"), start=1):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -135,12 +138,17 @@ def read_archive(path) -> Dict[str, np.ndarray]:
             raise FormatError(f"{path}: manifest line {lineno} has bad offset or shape {line!r}") from None
         if offset < 0:
             raise FormatError(f"{path}: manifest line {lineno} has negative offset {offset}")
-        arr, _ = tensor_from_bytes(raw, payload_at + offset, context=str(path))
+        if offset != end:
+            raise FormatError(f"{path}: manifest line {lineno} has offset {offset}, expected {end}")
+        arr, consumed = tensor_from_bytes(raw, payload_at + offset, context=str(path))
         if arr.shape != expect:
             raise FormatError(
                 f"{path} entry {name!r}: manifest shape {expect} != stored shape {arr.shape}"
             )
         out[name] = arr
+        end = offset + consumed
+    if payload_at + end != len(raw):
+        raise FormatError(f"{path}: {len(raw) - payload_at - end} trailing bytes after the last blob")
     return out
 
 

@@ -292,26 +292,58 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(d: np.ndarray) -> np.ndarray:
+    """tanh(C * (d + A * d^3)) in one new array.
+
+    gelu's forward and backward both call this, so the tanh that backward
+    recomputes is the forward's, bit for bit. The cube is a product:
+    float32 ``**3`` goes through ``powf``, which is over 100x slower than
+    two multiplies.
+    """
+    # Beyond |x| ~ 7e12 the float32 cube overflows to inf; the tanh then
+    # saturates to exactly +-1, which is the correct value.
+    with np.errstate(over="ignore"):
+        t = np.multiply(d, d, out=np.empty_like(d))
+        t *= d
+        t *= _GELU_A
+        t += d
+        t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU via the tanh approximation.
 
     gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))).
     The constants are fixed so outputs are bit-stable across platforms.
-    Powers are written as products: float32 ``**3`` goes through
-    ``powf``, which is over 100x slower than two multiplies.
+    Backward keeps only ``x`` (the producing op's output, alive anyway)
+    and recomputes the tanh: storing it would keep a second array of the
+    input's size per call until backward runs.
     """
-    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    t = _gelu_tanh(x.data)
+    t += 1.0
+    data = 0.5 * x.data
+    data *= t
 
     def backward(g):
+        d = x.data
+        t = _gelu_tanh(d)
+        scratch = np.multiply(t, t, out=np.empty_like(d))
+        np.subtract(1.0, scratch, out=scratch)
+        local = 0.5 * d
+        local *= scratch
         # 1 - t**2 is exactly 0 beyond |x| = 1e3 (float32 and float64); the bound
-        # keeps x*x finite there, so the product is 0, not 0 * inf = NaN. The
-        # in-place updates only save temporaries: the results are unchanged.
-        square = np.minimum(np.abs(x.data), 1e3)
-        square *= square
-        local = 0.5 * x.data * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * square))
-        local += 0.5 * (1.0 + t)
+        # keeps x*x finite there, so the product is 0, not 0 * inf = NaN.
+        np.abs(d, out=scratch)
+        np.minimum(scratch, 1e3, out=scratch)
+        scratch *= scratch
+        scratch *= 3.0 * _GELU_A
+        scratch += 1.0
+        scratch *= _GELU_C
+        local *= scratch
+        t += 1.0
+        t *= 0.5
+        local += t
         local *= g
         x._accumulate(local)
 
@@ -331,13 +363,16 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        x._accumulate(s * (g - dot))
+        local = g * s
+        dot = local.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=local)
+        local *= s
+        x._accumulate(local)
 
     return _node(s, (x,), backward)
 

@@ -147,6 +147,21 @@ class TestArchive:
         with pytest.raises(FormatError, match="negative offset"):
             read_archive(path)
 
+    @pytest.mark.parametrize("case", ["shared_offset", "gap", "trailing_bytes"])
+    def test_blobs_must_tile_the_payload(self, tmp_path, case):
+        blob = tensor_to_bytes(np.zeros(2, np.float32))
+        n = len(blob)
+        manifest, payload, message = {
+            # Without the check, two names on one blob read back as two copies.
+            "shared_offset": ("a\t0\t2\nb\t0\t2", blob, f"offset 0, expected {n}"),
+            "gap": (f"a\t0\t2\nb\t{n + 4}\t2", blob + bytes(4) + blob, f"offset {n + 4}, expected {n}"),
+            "trailing_bytes": (f"a\t0\t2\nb\t{n}\t2", blob + blob + b"\x00", "1 trailing bytes"),
+        }[case]
+        path = tmp_path / "a.crt1a"
+        path.write_bytes(manifest.encode() + b"\n\n" + payload)
+        with pytest.raises(FormatError, match=message):
+            read_archive(path)
+
     def test_failed_write_keeps_previous_archive(self, tmp_path, monkeypatch):
         path = tmp_path / "a.crt1a"
         write_archive(path, {"x": np.ones(4, np.float32)})

@@ -9,6 +9,7 @@ import pytest
 from crnet.gradcheck import finite_difference_check
 from crnet.tensor import (
     Tensor,
+    _node,
     add,
     avg_pool2d,
     bilinear_upsample,
@@ -29,6 +30,13 @@ from crnet.tensor import (
 )
 
 F64 = np.float64
+
+
+_MAGS = np.logspace(-3, 12, 61)
+# |x| >= 7e12 overflows the float32 cube to inf, and |x| >= 2e19 the square;
+# the tanh saturates to +-1 there.
+_OVERFLOW = np.array([7e12, 1e13, 1e15, 1e18, 2e19, 1e24, 1e30, 3e38])
+GELU_GRID = np.concatenate([-_OVERFLOW[::-1], -_MAGS[::-1], [0.0], _MAGS, _OVERFLOW])
 
 
 def rand(shape, seed=0, dtype=F64):
@@ -321,17 +329,12 @@ class TestElementwise:
         # float64 one: the output is 0.5*x*(1+t), so its error scales with |x|,
         # and the local derivative is O(1). 16 eps leaves margin over both.
         tol = 16 * np.finfo(np.float32).eps
-        mags = np.logspace(-3, 12, 61)
-        # |x| >= 7e12 overflows the float32 cube to inf, and |x| >= 2e19 the
-        # square; the tanh saturates to +-1 there.
-        overflow = np.array([7e12, 1e13, 1e15, 1e18, 2e19, 1e24, 1e30, 3e38])
-        grid = np.concatenate([-overflow[::-1], -mags[::-1], [0.0], mags, overflow])
+        grid = GELU_GRID
         cot = np.random.default_rng(12).uniform(0.5, 1.5, grid.size)
         results = {}
         for dtype in (np.float32, np.float64):
             x = Tensor(grid.astype(np.float32).astype(dtype), requires_grad=True)
-            with np.errstate(over="ignore"):
-                out = gelu(x)
+            out = gelu(x)  # the cube's overflow warns nowhere: RuntimeWarnings fail the suite
             tsum(mul(out, Tensor(cot.astype(dtype)))).backward()
             results[dtype] = (out.data.astype(np.float64), x.grad.astype(np.float64))
         (y32, g32), (y64, g64) = results[np.float32], results[np.float64]
@@ -339,6 +342,22 @@ class TestElementwise:
         x64 = grid.astype(np.float32).astype(np.float64)
         assert np.all(np.abs(y32 - y64) <= tol * np.abs(x64))
         assert np.all(np.abs(g32 - g64) <= tol * cot)
+
+    def test_gelu_keeps_only_its_input(self):
+        # Backward recomputes the tanh from x, which the producing op's
+        # output already holds: gelu adds only its own output to the graph.
+        x = Tensor(np.random.default_rng(14).normal(size=(1, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = gelu(x)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert kept < 1.5 * x.data.nbytes
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(c, np.ndarray) for c in cells)
 
     def test_softmax_uniform(self):
         out = softmax(Tensor(np.full((5,), 3.7), dtype=F64), axis=-1)
@@ -493,3 +512,116 @@ class TestFiniteDifferenceHarness:
         target = Tensor(np.full((3, 3), 5.0), dtype=F64)
         x = Tensor(np.random.default_rng(28).uniform(1.0, 2.0, (3, 3)), dtype=F64)
         assert finite_difference_check(lambda t: tmean(tabs(sub(t, target))), x) <= 1e-6
+
+
+# -- bitwise parity with the stored-tanh gelu and the out-of-place softmax --
+
+_GELU_C = 0.7978845608028654
+_GELU_A = 0.044715
+
+
+def gelu_stored_tanh(x: Tensor) -> Tensor:
+    """gelu as written when backward kept its tanh: the bitwise reference."""
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
+    t = np.tanh(u)
+    data = 0.5 * x.data * (1.0 + t)
+
+    def backward(g):
+        square = np.minimum(np.abs(x.data), 1e3)
+        square *= square
+        local = 0.5 * x.data * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * square))
+        local += 0.5 * (1.0 + t)
+        local *= g
+        x._accumulate(local)
+
+    return _node(data, (x,), backward)
+
+
+def softmax_out_of_place(x: Tensor, axis: int = -1) -> Tensor:
+    """softmax with a new array per step: the bitwise reference."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        x._accumulate(s * (g - dot))
+
+    return _node(s, (x,), backward)
+
+
+def _value_and_grad(op, data, cot, **kwargs):
+    x = Tensor(data, requires_grad=True)
+    with np.errstate(over="ignore"):  # the grid's outputs times cot overflow in the loss
+        out = op(x, **kwargs)
+        tsum(mul(out, Tensor(cot))).backward()
+    return out.data, x.grad
+
+
+class TestInPlaceParity:
+    """gelu and softmax must give the reference's bytes: the in-place rewrite
+    keeps every operation and its order, so not one rounding may move."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "op, reference, kwargs",
+        [
+            (gelu, gelu_stored_tanh, {}),
+            (softmax, softmax_out_of_place, {"axis": -1}),
+            (softmax, softmax_out_of_place, {"axis": 1}),
+        ],
+        ids=["gelu", "softmax_last", "softmax_axis1"],
+    )
+    def test_matches_reference(self, op, reference, kwargs, dtype):
+        rng = np.random.default_rng(15)
+        inputs = [
+            GELU_GRID.reshape(1, 1, -1),
+            rng.normal(size=(2, 8, 32)),
+            rng.normal(scale=30.0, size=(2, 8, 32)),
+        ]
+        for data in inputs:
+            data = data.astype(np.float32).astype(dtype)
+            cot = rng.uniform(0.5, 1.5, data.shape).astype(dtype)
+            got = _value_and_grad(op, data, cot, **kwargs)
+            want = _value_and_grad(reference, data, cot, **kwargs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ablation_variants_match_reference(self, monkeypatch, dtype):
+        from crnet import blocks, model
+        from crnet.metrics import l1_tonemapped_loss
+        from crnet.runconfig import resolve
+        from crnet.synth import DegradeSpec, SceneSpec, generate_sample
+
+        samples = [generate_sample(SceneSpec(seed=40 + i, size=(32, 32)), DegradeSpec()) for i in range(2)]
+        target = Tensor(np.stack([s.ground_truth for s in samples]).astype(dtype))
+        calls = []
+
+        def run(name):
+            cfg, params = model.build_ablation_variant(name, resolve(preset="desk").model, seed=0)
+            params = {k: Tensor(p.data.astype(dtype), requires_grad=True) for k, p in params.items()}
+            prediction = model.forward_batch([s.stack for s in samples], params, cfg)
+            l1_tonemapped_loss(prediction, target).backward()
+            return [prediction.data] + [params[k].grad for k in sorted(params)]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in model.ABLATION_VARIANTS:
+            got = run(name)
+            with monkeypatch.context() as patch:
+                for module in (blocks, model):
+                    patch.setattr(module, "gelu", counted(gelu_stored_tanh))
+                patch.setattr(blocks, "softmax", counted(softmax_out_of_place))
+                want = run(name)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype, name
+                assert a.tobytes() == b.tobytes(), name
+        assert {"gelu_stored_tanh", "softmax_out_of_place"} <= set(calls)
