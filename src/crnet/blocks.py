@@ -4,7 +4,10 @@ Each block is a pure function of (input, params); params is a flat
 mapping from stable local path strings (e.g. "branchA.conv0.weight") to
 tensors. The companion ``*_spec`` functions return the expected key ->
 shape layout, which doubles as the initializer schema and the
-checkpoint-validation contract.
+checkpoint-validation contract. The spec is the only place a layout is
+stated: forwards read kernel sizes and channel widths from the weights
+and take only the choices the weights cannot show (heads, window, pool
+kind, branch split, depthwise kernel mode).
 
 Blocks with a skip path (attention, multi-branch, channel-wise FFN,
 enhancement block) reduce to the identity when their weights are zero;
@@ -68,14 +71,11 @@ def _conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
     return {"weight": (cout, cin, k, k), "bias": (cout,)}
 
 
-def _conv(x: Tensor, params: Params, key: str, k: int, groups: int = 1) -> Tensor:
-    return conv2d(
-        x,
-        params[f"{key}.weight"],
-        params[f"{key}.bias"],
-        padding=(k - 1) // 2,
-        groups=groups,
-    )
+def conv(x: Tensor, params: Params, key: str, groups: int = 1) -> Tensor:
+    """Apply layer ``key`` of params; the (k - 1) // 2 zero padding of its
+    k x k kernel keeps the spatial extents."""
+    weight = params[f"{key}.weight"]
+    return conv2d(x, weight, params[f"{key}.bias"], padding=(weight.shape[-1] - 1) // 2, groups=groups)
 
 
 # -- frequency separation ----------------------------------------------------
@@ -92,7 +92,7 @@ def pool2x2(x: Tensor, kind: str) -> Tensor:
     raise ValueError(f"pool: unknown pool kind {kind!r}")
 
 
-def frequency_separate(x: Tensor, pool_kind: str = "avg") -> Tuple[Tensor, Tensor]:
+def frequency_separate(x: Tensor, pool_kind: str) -> Tuple[Tensor, Tensor]:
     """Split [B, C, H, W] features into pooled low and residual high parts.
 
     Returns (low, high); high + upsample(low) reproduces x up to float rounding.
@@ -138,7 +138,7 @@ def _window_merge(x: Tensor, heads: int, window: int, c: int, h: int, w: int) ->
     return reshape(t, (b, c, h, w))
 
 
-def window_self_attention(x: Tensor, params: Params, heads: int = 4, window: int = 8) -> Tensor:
+def window_self_attention(x: Tensor, params: Params, heads: int, window: int) -> Tensor:
     """Multi-head scaled dot-product attention inside non-overlapping windows.
 
     Tokens are a window's pixels; q/k/v come from learned 1x1
@@ -152,14 +152,14 @@ def window_self_attention(x: Tensor, params: Params, heads: int = 4, window: int
         )
     if c % heads != 0:
         raise ValueError(f"window_self_attention: {c} channels not divisible by {heads} heads")
-    q = _window_partition(_conv(x, params, "q", 1), heads, window)
-    k = _window_partition(_conv(x, params, "k", 1), heads, window)
-    v = _window_partition(_conv(x, params, "v", 1), heads, window)
+    q = _window_partition(conv(x, params, "q"), heads, window)
+    k = _window_partition(conv(x, params, "k"), heads, window)
+    v = _window_partition(conv(x, params, "v"), heads, window)
     scale = 1.0 / math.sqrt(c // heads)
     scores = mul(matmul(q, permute(k, (0, 1, 2, 3, 5, 4))), scale)
     attn = softmax(scores, axis=-1)
     gathered = _window_merge(matmul(attn, v), heads, window, c, h, w)
-    return _conv(gathered, params, "proj", 1) + x
+    return conv(gathered, params, "proj") + x
 
 
 # -- multi-branch block -------------------------------------------------------
@@ -167,7 +167,7 @@ def window_self_attention(x: Tensor, params: Params, heads: int = 4, window: int
 MBB_TOTAL_CONVS = 4
 
 
-def multi_branch_spec(c: int, split: Tuple[int, int] = (3, 1)) -> ParamSpec:
+def multi_branch_spec(c: int, split: Tuple[int, int]) -> ParamSpec:
     n_a, n_b = split
     if n_a + n_b != MBB_TOTAL_CONVS:
         raise ValueError(f"multi_branch_spec: split {split} must sum to {MBB_TOTAL_CONVS}")
@@ -179,7 +179,7 @@ def multi_branch_spec(c: int, split: Tuple[int, int] = (3, 1)) -> ParamSpec:
     return spec
 
 
-def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int] = (3, 1)) -> Tensor:
+def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int]) -> Tensor:
     """Two parallel conv chains of unequal depth, summed, plus a skip path.
 
     The deep chain biases toward fine detail, the shallow one toward
@@ -187,13 +187,11 @@ def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int] = (3, 1
     path itself, so the output stays a three-term sum at most.
     """
     n_a, n_b = split
-    if n_a + n_b != MBB_TOTAL_CONVS:
-        raise ValueError(f"multi_branch_block: split {split} must sum to {MBB_TOTAL_CONVS}")
 
     def chain(start: Tensor, branch: str, count: int) -> Tensor:
         h = start
         for j in range(count):
-            h = gelu(_conv(h, params, f"{branch}.conv{j}", 3))
+            h = gelu(conv(h, params, f"{branch}.conv{j}"))
         return h
 
     out = chain(x, "branchA", n_a)
@@ -205,7 +203,7 @@ def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int] = (3, 1
 # -- channel attention --------------------------------------------------------
 
 
-def channel_attention_spec(c: int, reduction: int = 4) -> ParamSpec:
+def channel_attention_spec(c: int, reduction: int) -> ParamSpec:
     if c % reduction != 0:
         raise ValueError(f"channel_attention_spec: {c} channels not divisible by reduction {reduction}")
     spec = prefixed(_conv_spec(c // reduction, c, 1), "fc1.")
@@ -213,26 +211,23 @@ def channel_attention_spec(c: int, reduction: int = 4) -> ParamSpec:
     return spec
 
 
-def channel_attention(x: Tensor, params: Params, reduction: int = 4) -> Tensor:
+def channel_attention(x: Tensor, params: Params) -> Tensor:
     """Gate each channel by a squeeze-excite function of its global mean."""
-    c = x.shape[1]
-    if c % reduction != 0:
-        raise ValueError(f"channel_attention: {c} channels not divisible by reduction {reduction}")
-    gate = sigmoid(_conv(gelu(_conv(global_avg_pool(x), params, "fc1", 1)), params, "fc2", 1))
+    gate = sigmoid(conv(gelu(conv(global_avg_pool(x), params, "fc1")), params, "fc2"))
     return mul(x, gate)
 
 
 # -- frequency fusion ----------------------------------------------------------
 
 
-def freq_fuse_spec(c: int, reduction: int = 4) -> ParamSpec:
+def freq_fuse_spec(c: int, reduction: int) -> ParamSpec:
     spec = prefixed(_conv_spec(c, 2 * c, 3), "conv3.")
     spec.update(prefixed(channel_attention_spec(c, reduction), "ca."))
     spec.update(prefixed(_conv_spec(c, c, 1), "conv1."))
     return spec
 
 
-def freq_fuse(high: Tensor, low: Tensor, params: Params, reduction: int = 4) -> Tensor:
+def freq_fuse(high: Tensor, low: Tensor, params: Params) -> Tensor:
     """Merge a half-resolution stream back into the full-resolution one.
 
     Upsample low, concatenate onto high, then 3x3 conv -> channel
@@ -244,8 +239,8 @@ def freq_fuse(high: Tensor, low: Tensor, params: Params, reduction: int = 4) -> 
             f"freq_fuse: low extents {low.shape[2:]} must be exactly half of high {high.shape[2:]}"
         )
     merged = concat([bilinear_upsample(low, h, w), high], axis=1)
-    fused = channel_attention(_conv(merged, params, "conv3", 3), scoped(params, "ca."), reduction)
-    return _conv(fused, params, "conv1", 1)
+    fused = channel_attention(conv(merged, params, "conv3"), scoped(params, "ca."))
+    return conv(fused, params, "conv1")
 
 
 # -- convolutional feed-forward -------------------------------------------------
@@ -253,93 +248,62 @@ def freq_fuse(high: Tensor, low: Tensor, params: Params, reduction: int = 4) -> 
 FFN_MODES = ("inverted", "normal_bottleneck", "flat")
 
 
-def _ffn_mid_channels(c: int, mode: str, expansion: int) -> int:
+def conv_ffn_spec(c: int, mode: str, expansion: int) -> ParamSpec:
     if expansion < 1:
-        raise ValueError(f"conv_ffn: expansion must be >= 1, got {expansion}")
+        raise ValueError(f"conv_ffn_spec: expansion must be >= 1, got {expansion}")
     if mode == "inverted":
-        return c * expansion
-    if mode == "normal_bottleneck":
+        mid = c * expansion
+    elif mode == "normal_bottleneck":
         if c % expansion != 0:
-            raise ValueError(f"conv_ffn: {c} channels not divisible by expansion {expansion}")
-        return c // expansion
-    if mode == "flat":
-        return c
-    raise ValueError(f"conv_ffn: unknown mode {mode!r}")
-
-
-def conv_ffn_spec(c: int, mode: str = "inverted", expansion: int = 4) -> ParamSpec:
-    mid = _ffn_mid_channels(c, mode, expansion)
+            raise ValueError(f"conv_ffn_spec: {c} channels not divisible by expansion {expansion}")
+        mid = c // expansion
+    elif mode == "flat":
+        mid = c
+    else:
+        raise ValueError(f"conv_ffn_spec: unknown mode {mode!r}")
     spec = prefixed(_conv_spec(mid, c, 1), "fc1.")
     spec.update(prefixed(_conv_spec(c, mid, 1), "fc2."))
     return spec
 
 
-def conv_ffn(x: Tensor, params: Params, mode: str = "inverted", expansion: int = 4) -> Tensor:
+def conv_ffn(x: Tensor, params: Params) -> Tensor:
     """Pointwise expand -> GELU -> pointwise contract, with skip path.
 
-    mode selects the middle width: widened (default), narrowed, or
-    unchanged.
+    The middle width is fc1's output axis: widened, narrowed, or
+    unchanged by the spec's mode.
     """
-    _ffn_mid_channels(x.shape[1], mode, expansion)
-    return _conv(gelu(_conv(x, params, "fc1", 1)), params, "fc2", 1) + x
+    return conv(gelu(conv(x, params, "fc1")), params, "fc2") + x
 
 
 # -- convolutional enhancement block --------------------------------------------
 
-CEB_KERNEL_MODES = ("dw7", "three_dw3", "dw5_dw3")
+# Kernel sizes of the depthwise stage, in order, per kernel mode.
+CEB_DW_KERNELS = {"dw7": (7,), "three_dw3": (3, 3, 3), "dw5_dw3": (5, 3)}
 
 
-def _ceb_dw_layout(kernel_mode: str) -> Tuple[int, ...]:
-    if kernel_mode == "dw7":
-        return (7,)
-    if kernel_mode == "three_dw3":
-        return (3, 3, 3)
-    if kernel_mode == "dw5_dw3":
-        return (5, 3)
-    raise ValueError(f"conv_enhancement_block: unknown kernel mode {kernel_mode!r}")
-
-
-def ceb_spec(
-    c: int,
-    kernel_mode: str = "dw7",
-    ffn_mode: str = "inverted",
-    expansion: int = 4,
-) -> ParamSpec:
+def ceb_spec(c: int, kernel_mode: str, ffn_mode: str, expansion: int) -> ParamSpec:
+    if kernel_mode not in CEB_DW_KERNELS:
+        raise ValueError(f"ceb_spec: unknown kernel mode {kernel_mode!r}")
     spec = prefixed(_conv_spec(c, c, 1), "pw_in.")
-    for j, k in enumerate(_ceb_dw_layout(kernel_mode)):
+    for j, k in enumerate(CEB_DW_KERNELS[kernel_mode]):
         spec.update(prefixed({"weight": (c, 1, k, k), "bias": (c,)}, f"dw{j}."))
     spec.update(prefixed(_conv_spec(c, c, 1), "pw_out."))
     spec.update(prefixed(conv_ffn_spec(c, ffn_mode, expansion), "ffn."))
     return spec
 
 
-def conv_enhancement_block(
-    x: Tensor,
-    params: Params,
-    kernel_mode: str = "dw7",
-    ffn_mode: str = "inverted",
-    expansion: int = 4,
-) -> Tensor:
+def conv_enhancement_block(x: Tensor, params: Params, kernel_mode: str) -> Tensor:
     """Pointwise -> large-kernel depthwise -> pointwise -> conv FFN, with skip.
 
-    The depthwise stage is one 7x7 kernel by default; ablation modes
-    swap in three 3x3 kernels or a 5x5 followed by a 3x3. Every
+    kernel_mode names the depthwise stage's kernels in CEB_DW_KERNELS:
+    one 7x7, or for the ablations three 3x3 or a 5x5 then a 3x3. Every
     convolution is followed by GELU; a skip path wraps the whole block.
     """
-    c = x.shape[1]
-    h = gelu(_conv(x, params, "pw_in", 1))
-    for j, k in enumerate(_ceb_dw_layout(kernel_mode)):
-        h = gelu(
-            conv2d(
-                h,
-                params[f"dw{j}.weight"],
-                params[f"dw{j}.bias"],
-                padding=(k - 1) // 2,
-                groups=c,
-            )
-        )
-    h = gelu(_conv(h, params, "pw_out", 1))
-    h = conv_ffn(h, scoped(params, "ffn."), ffn_mode, expansion)
+    h = gelu(conv(x, params, "pw_in"))
+    for j in range(len(CEB_DW_KERNELS[kernel_mode])):
+        h = gelu(conv(h, params, f"dw{j}", groups=x.shape[1]))
+    h = gelu(conv(h, params, "pw_out"))
+    h = conv_ffn(h, scoped(params, "ffn."))
     return h + x
 
 

@@ -54,6 +54,8 @@ def cmd_gen(args) -> int:
     cfg = _resolve(args)
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise FormatError(f"{out}: directory exists and is not empty (use --force)")

@@ -25,6 +25,7 @@ from . import blocks
 from .blocks import (
     Params,
     ParamSpec,
+    conv,
     conv_enhancement_block,
     freq_fuse,
     frequency_separate,
@@ -35,7 +36,8 @@ from .blocks import (
     scoped,
     window_self_attention,
 )
-from .tensor import Tensor, _node, clamp_min, concat, conv2d, gelu
+from .metrics import DEFAULT_MU
+from .tensor import Tensor, _node, clamp_min, concat, gelu
 
 RAW_CHANNELS = 4  # packed RGGB planes at half sensor resolution
 NUM_FRAMES = 5
@@ -59,7 +61,7 @@ class CRNetConfig:
     freq_separation: bool = True
     ca_reduction: int = 4
     gamma: float = 1.0 / 2.2
-    mu: float = 5000.0
+    mu: float = DEFAULT_MU
 
     def validate(self) -> None:
         counts = ("base_channels", "n_ceb", "n_hfem", "attn_window", "attn_heads", "ffn_expansion", "ca_reduction")
@@ -83,7 +85,7 @@ class CRNetConfig:
             raise ValueError(f"config: fusion_mode must be joint or recurrent, got {self.fusion_mode!r}")
         if self.ffn_mode not in blocks.FFN_MODES:
             raise ValueError(f"config: unknown ffn_mode {self.ffn_mode!r}")
-        if self.ceb_kernel_mode not in blocks.CEB_KERNEL_MODES:
+        if self.ceb_kernel_mode not in blocks.CEB_DW_KERNELS:
             raise ValueError(f"config: unknown ceb_kernel_mode {self.ceb_kernel_mode!r}")
         if self.ffn_mode == "normal_bottleneck" and self.base_channels % self.ffn_expansion != 0:
             raise ValueError(
@@ -132,7 +134,7 @@ class ExposureStack:
                 raise ValueError(f"stack: frame {i} has values outside [0, 1] or not finite")
 
 
-def preprocess(stack: ExposureStack, gamma: float = 1.0 / 2.2, dtype=np.float32) -> np.ndarray:
+def preprocess(stack: ExposureStack, gamma: float, dtype=np.float32) -> np.ndarray:
     """Exposure-normalize each frame and append its gamma-mapped copy.
 
     Returns [NUM_FRAMES, 2*RAW_CHANNELS, H, W]: frame i becomes
@@ -352,11 +354,9 @@ def _hfem_forward(x: Tensor, params: Params, cfg: CRNetConfig) -> Tensor:
     low = low_in
     for j in range(3):
         low = multi_branch_block(low, scoped(params, f"mbb_low{j}."), cfg.mbb_split)
-    fused = freq_fuse(high, low, scoped(params, "fuse."), cfg.ca_reduction)
+    fused = freq_fuse(high, low, scoped(params, "fuse."))
     for j in range(cfg.n_ceb):
-        fused = conv_enhancement_block(
-            fused, scoped(params, f"ceb{j}."), cfg.ceb_kernel_mode, cfg.ffn_mode, cfg.ffn_expansion
-        )
+        fused = conv_enhancement_block(fused, scoped(params, f"ceb{j}."), cfg.ceb_kernel_mode)
     return fused
 
 
@@ -372,13 +372,13 @@ def forward_batch(
     stacks: Sequence[ExposureStack],
     params: Params,
     cfg: CRNetConfig,
-    flows: Optional[Sequence[Optional[Sequence[np.ndarray]]]] = None,
+    flows: Optional[Sequence[Sequence[Optional[np.ndarray]]]] = None,
 ) -> Tensor:
     """Run the network over a batch of stacks; returns [B, RAW, H, W].
 
-    flows, when given, is one list per sample with a [2, H, W] field for
-    every frame (entry 0, the reference, is ignored). Missing flows are
-    estimated by block matching on the shallow features.
+    flows is None, and then estimated by block matching on the shallow
+    features, or one list per sample with a [2, H, W] field for every
+    frame (entry 0, the reference, is ignored).
     """
     validate_params(params, cfg)
     if not stacks:
@@ -400,31 +400,25 @@ def forward_batch(
         )
 
     frames = [Tensor(np.stack([p[i] for p in pres])) for i in range(NUM_FRAMES)]  # [B, 2*RAW, H, W]
-    feats = [
-        conv2d(f, params["shallow.weight"], params["shallow.bias"], padding=1) for f in frames
-    ]
+    feats = [conv(f, params, "shallow") for f in frames]
 
-    # One block-matching call for every (sample, frame) pair without a given
-    # flow: the reference against the stacked moving frames [4, B', C, H, W].
-    given = [None if flows is None else flows[b] for b in range(len(stacks))]
-    missing = [b for b, sample_flows in enumerate(given) if sample_flows is None]
-    if missing:
-        moving = np.stack([f.data[missing] for f in feats[1:]])
-        estimated = estimate_flow(feats[0].data[missing], moving)
-        for j, b in enumerate(missing):
-            given[b] = [None] + list(estimated[:, j])
-    aligned = [feats[0]] + [
-        warp_by_flow(feats[i], np.stack([np.asarray(sample[i], dtype=np.float32) for sample in given]))
-        for i in range(1, NUM_FRAMES)
-    ]
+    if flows is None:
+        # One block-matching call for every (sample, frame) pair: the
+        # reference against the stacked moving frames [4, B, C, H, W].
+        frame_flows = list(estimate_flow(feats[0].data, np.stack([f.data for f in feats[1:]])))
+    else:
+        if len(flows) != len(stacks):
+            raise ValueError(f"forward: {len(flows)} flow lists for {len(stacks)} stacks")
+        frame_flows = [
+            np.stack([np.asarray(sample[i], dtype=np.float32) for sample in flows]) for i in range(1, NUM_FRAMES)
+        ]
+    aligned = [feats[0]] + [warp_by_flow(f, flow) for f, flow in zip(feats[1:], frame_flows)]
 
-    ref_features = gelu(
-        conv2d(feats[0], params["ref_proc.weight"], params["ref_proc.bias"], padding=1)
-    )
+    ref_features = gelu(conv(feats[0], params, "ref_proc"))
 
     if cfg.fusion_mode == "joint":
         merged = concat(aligned, axis=1)
-        x = conv2d(merged, params["reduce.weight"], params["reduce.bias"])
+        x = conv(merged, params, "reduce")
         outs = _run_hfem_chain(x, params, cfg)
     else:
         # Recurrent arrangement: frames enter the enhancement chain one
@@ -434,14 +428,14 @@ def forward_batch(
         outs = []
         for i in range(NUM_FRAMES):
             buffer = concat([state] * (NUM_FRAMES - 1) + [aligned[i]], axis=1)
-            x = conv2d(buffer, params["reduce.weight"], params["reduce.bias"])
+            x = conv(buffer, params, "reduce")
             outs = _run_hfem_chain(x, params, cfg)
             state = outs[-1]
 
     fused = concat(outs + [ref_features], axis=1)
-    y = gelu(conv2d(fused, params["fusion.conv0.weight"], params["fusion.conv0.bias"], padding=1))
-    y = gelu(conv2d(y, params["fusion.conv1.weight"], params["fusion.conv1.bias"], padding=1))
-    y = conv2d(y, params["head.weight"], params["head.bias"], padding=1)
+    y = gelu(conv(fused, params, "fusion.conv0"))
+    y = gelu(conv(y, params, "fusion.conv1"))
+    y = conv(y, params, "head")
     return clamp_min(y, 0.0)
 
 

@@ -47,6 +47,8 @@ class SceneSpec:
         h, w = self.size
         if h % 2 or w % 2 or h < 2 or w < 2:
             raise ValueError(f"scene: size {self.size} must be positive and even in both extents")
+        if min(self.n_gradients, self.n_disks, self.n_edges) < 0:
+            raise ValueError("scene: n_gradients, n_disks and n_edges must be >= 0")
         if not 1 < self.dynamic_range < np.inf:
             raise ValueError(f"scene: dynamic_range must be finite and exceed 1, got {self.dynamic_range}")
         if np.asarray(self.motion).shape != (NUM_FRAMES, 2):

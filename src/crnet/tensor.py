@@ -199,14 +199,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise arithmetic ----------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _binary_operands(name: str, op, a, b):
+    """Wrap scalar operands, check dtypes, and apply op with a clear broadcast error."""
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
     _check_same_dtype(a, b)
     try:
-        data = a.data + b.data
+        return a, b, op(a.data, b.data)
     except ValueError:
-        raise ValueError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ValueError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def add(a, b) -> Tensor:
+    a, b, data = _binary_operands("add", np.add, a, b)
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.shape))
@@ -216,13 +221,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    _check_same_dtype(a, b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ValueError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
+    a, b, data = _binary_operands("sub", np.subtract, a, b)
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.shape))
@@ -232,13 +231,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    _check_same_dtype(a, b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    a, b, data = _binary_operands("mul", np.multiply, a, b)
 
     def backward(g):
         a._accumulate(_unbroadcast(g * b.data, a.shape))

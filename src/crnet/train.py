@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"train: crop must be even and >= 2, got {self.crop}")
         if self.epochs < 1 or self.batch < 1 or self.ckpt_every < 1:
             raise ValueError("train: epochs, batch and ckpt_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"train: seed must be >= 0, got {self.seed}")
         if not (0 < self.initial_lr < math.inf and 0 < self.lr_gamma <= 1) or self.lr_step_epochs < 1:
             raise ValueError("train: bad learning-rate schedule settings")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 < self.eps < math.inf and 0 <= self.weight_decay < math.inf):
@@ -154,7 +156,8 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
 
     A layout mismatch raises ValueError listing every missing,
     unexpected and wrongly shaped parameter path; absent optimizer
-    entries raise FormatError.
+    entries, a moment whose shape or dtype differs from its parameter's,
+    and a step that is not a finite integer >= 0 raise FormatError.
     """
     entries = read_archive(path)
     stored = {k: v for k, v in entries.items() if not k.startswith("optim.")}
@@ -170,11 +173,22 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
     meta = entries[_OPT_META]
     if meta.shape != (6,):
         raise FormatError(f"checkpoint {path}: {_OPT_META} must hold 6 values, got shape {meta.shape}")
+    step = float(meta[0])
+    if not (step >= 0 and step.is_integer()):
+        raise FormatError(f"checkpoint {path}: {_OPT_META} step must be a finite integer >= 0, got {step}")
+    for k in spec:
+        for key in (f"optim.m.{k}", f"optim.v.{k}"):
+            moment = entries[key]
+            if moment.shape != stored[k].shape or moment.dtype != stored[k].dtype:
+                raise FormatError(
+                    f"checkpoint {path}: {key!r} is {moment.shape} {moment.dtype}, "
+                    f"expected {stored[k].shape} {stored[k].dtype} like its parameter"
+                )
     params: Params = {k: Tensor(stored[k], requires_grad=True) for k in spec}
     state = OptimState(
         m={k: entries[f"optim.m.{k}"] for k in spec},
         v={k: entries[f"optim.v.{k}"] for k in spec},
-        step=int(meta[0]),
+        step=int(step),
         lr=float(meta[1]),
         betas=(float(meta[2]), float(meta[3])),
         weight_decay=float(meta[4]),

@@ -157,23 +157,23 @@ def test_criterion_1_gradient_suite():
         ),
         "channel_attention": (
             channel_attention_spec(4, 2),
-            lambda p: tmean(channel_attention(x, p, 2)),
-            lambda p, t: tmean(channel_attention(t, p, 2)),
+            lambda p: tmean(channel_attention(x, p)),
+            lambda p, t: tmean(channel_attention(t, p)),
         ),
         "freq_fuse": (
             freq_fuse_spec(4, 2),
-            lambda p: tmean(freq_fuse(x, low, p, 2)),
-            lambda p, t: tmean(freq_fuse(t, low, p, 2)),
+            lambda p: tmean(freq_fuse(x, low, p)),
+            lambda p, t: tmean(freq_fuse(t, low, p)),
         ),
         "conv_ffn": (
             conv_ffn_spec(4, "inverted", 2),
-            lambda p: tmean(conv_ffn(x, p, "inverted", 2)),
-            lambda p, t: tmean(conv_ffn(t, p, "inverted", 2)),
+            lambda p: tmean(conv_ffn(x, p)),
+            lambda p, t: tmean(conv_ffn(t, p)),
         ),
         "conv_enhancement_block": (
             ceb_spec(4, "dw7", "inverted", 2),
-            lambda p: tmean(conv_enhancement_block(x, p, "dw7", "inverted", 2)),
-            lambda p, t: tmean(conv_enhancement_block(t, p, "dw7", "inverted", 2)),
+            lambda p: tmean(conv_enhancement_block(x, p, "dw7")),
+            lambda p, t: tmean(conv_enhancement_block(t, p, "dw7")),
         ),
     }
     for name, (spec, with_params, with_input) in block_cases.items():
@@ -300,10 +300,8 @@ def test_criterion_4_zero_init_identity():
         "window_self_attention": window_self_attention(x, zeros(attention_spec(4)), 2, 4),
         "multi_branch_block(3,1)": multi_branch_block(x, zeros(multi_branch_spec(4, (3, 1))), (3, 1)),
         "multi_branch_block(4,0)": multi_branch_block(x, zeros(multi_branch_spec(4, (4, 0))), (4, 0)),
-        "conv_ffn": conv_ffn(x, zeros(conv_ffn_spec(4, "inverted", 4)), "inverted", 4),
-        "conv_enhancement_block": conv_enhancement_block(
-            x, zeros(ceb_spec(4, "dw7", "inverted", 4)), "dw7", "inverted", 4
-        ),
+        "conv_ffn": conv_ffn(x, zeros(conv_ffn_spec(4, "inverted", 4))),
+        "conv_enhancement_block": conv_enhancement_block(x, zeros(ceb_spec(4, "dw7", "inverted", 4)), "dw7"),
     }
     bad = [name for name, out in outputs.items() if not np.array_equal(out.data, x.data)]
     check("zero-init residual blocks are bit-exact identities", not bad, f"failed: {bad}" if bad else "5 blocks")

@@ -80,7 +80,7 @@ class TestFrequencySeparate:
 
     def test_odd_extents_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            frequency_separate(rand((1, 1, 5, 4)))
+            frequency_separate(rand((1, 1, 5, 4)), "avg")
 
     def test_reconstruction_over_50_random_tensors(self):
         rng = np.random.default_rng(2)
@@ -224,7 +224,7 @@ class TestMultiBranchBlock:
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            multi_branch_block(rand((1, 2, 4, 4)), {}, (3, 2))
+            multi_branch_spec(2, (3, 2))
 
     def test_param_count_parity_across_splits(self):
         counts = {split: count_spec(multi_branch_spec(8, split)) for split in [(3, 1), (2, 2), (4, 0)]}
@@ -241,7 +241,7 @@ class TestChannelAttention:
     def test_zero_weights_halve_input(self):
         spec = channel_attention_spec(4, 2)
         x = rand((1, 4, 4, 4), seed=19)
-        out = channel_attention(x, zero_params(spec), 2)
+        out = channel_attention(x, zero_params(spec))
         assert np.allclose(out.data, x.data / 2.0)
 
     def test_large_bias_saturates_to_identity(self):
@@ -249,14 +249,14 @@ class TestChannelAttention:
         params = zero_params(spec)
         params["fc2.bias"] = Tensor(np.full((4,), 50.0), requires_grad=True)
         x = rand((1, 4, 4, 4), seed=20)
-        out = channel_attention(x, params, 2)
+        out = channel_attention(x, params)
         assert np.allclose(out.data, x.data, atol=1e-9)
 
     def test_matches_primitive_composition(self):
         spec = channel_attention_spec(4, 2)
         params = make_params(spec, seed=21)
         x = rand((2, 4, 4, 4), seed=22)
-        out = channel_attention(x, params, 2)
+        out = channel_attention(x, params)
         gate = sigmoid(
             conv2d(
                 gelu(conv2d(global_avg_pool(x), params["fc1.weight"], params["fc1.bias"])),
@@ -274,7 +274,7 @@ class TestChannelAttention:
         spec = channel_attention_spec(4, 2)
         params = make_params(spec, seed=23)
         x = rand((1, 4, 8, 8), seed=24)
-        assert finite_difference_check(lambda t: tsum(channel_attention(t, params, 2)), x) < 1e-3
+        assert finite_difference_check(lambda t: tsum(channel_attention(t, params)), x) < 1e-3
 
 
 class TestFreqFuse:
@@ -284,31 +284,30 @@ class TestFreqFuse:
             Tensor(np.zeros((1, 4, 8, 8)), dtype=F64),
             Tensor(np.zeros((1, 4, 4, 4)), dtype=F64),
             make_params(spec, seed=25),
-            2,
         )
         assert np.allclose(out.data, 0.0)
 
     def test_output_shape_matches_high(self):
         spec = freq_fuse_spec(4, 2)
         params = make_params(spec, seed=26)
-        out = freq_fuse(rand((2, 4, 8, 6), seed=27), rand((2, 4, 4, 3), seed=28), params, 2)
+        out = freq_fuse(rand((2, 4, 8, 6), seed=27), rand((2, 4, 4, 3), seed=28), params)
         assert out.shape == (2, 4, 8, 6)
 
     def test_extent_mismatch_rejected(self):
         spec = freq_fuse_spec(4, 2)
         params = make_params(spec, seed=29)
         with pytest.raises(ValueError, match="half"):
-            freq_fuse(rand((1, 4, 8, 8)), rand((1, 4, 3, 4)), params, 2)
+            freq_fuse(rand((1, 4, 8, 8)), rand((1, 4, 3, 4)), params)
 
     def test_matches_primitive_composition(self):
         spec = freq_fuse_spec(4, 2)
         params = make_params(spec, seed=30)
         high = rand((1, 4, 8, 8), seed=31)
         low = rand((1, 4, 4, 4), seed=32)
-        out = freq_fuse(high, low, params, 2)
+        out = freq_fuse(high, low, params)
         merged = concat([bilinear_upsample(low, 8, 8), high], axis=1)
         y = conv2d(merged, params["conv3.weight"], params["conv3.bias"], padding=1)
-        y = channel_attention(y, scoped(params, "ca."), 2)
+        y = channel_attention(y, scoped(params, "ca."))
         y = conv2d(y, params["conv1.weight"], params["conv1.bias"])
         assert np.array_equal(out.data, y.data)
 
@@ -317,15 +316,15 @@ class TestFreqFuse:
         params = make_params(spec, seed=33)
         low = rand((1, 4, 4, 4), seed=34)
         x = rand((1, 4, 8, 8), seed=35)
-        assert finite_difference_check(lambda t: tsum(freq_fuse(t, low, params, 2)), x) < 1e-3
-        assert finite_difference_check(lambda t: tsum(freq_fuse(x, t, params, 2)), low) < 1e-3
+        assert finite_difference_check(lambda t: tsum(freq_fuse(t, low, params)), x) < 1e-3
+        assert finite_difference_check(lambda t: tsum(freq_fuse(x, t, params)), low) < 1e-3
 
 
 class TestConvFFN:
     def test_zero_weights_identity(self):
         spec = conv_ffn_spec(4, "inverted", 4)
         x = rand((1, 4, 4, 4), seed=36)
-        out = conv_ffn(x, zero_params(spec), "inverted", 4)
+        out = conv_ffn(x, zero_params(spec))
         assert np.array_equal(out.data, x.data)
 
     def test_expansion_one_matches_flat_param_count(self):
@@ -336,7 +335,7 @@ class TestConvFFN:
         spec = conv_ffn_spec(4, mode, expansion)
         params = make_params(spec, seed=37)
         x = rand((1, 4, 4, 4), seed=38)
-        out = conv_ffn(x, params, mode, expansion)
+        out = conv_ffn(x, params)
         y = conv2d(gelu(conv2d(x, params["fc1.weight"], params["fc1.bias"])), params["fc2.weight"], params["fc2.bias"])
         assert np.array_equal(out.data, (y + x).data)
 
@@ -344,14 +343,14 @@ class TestConvFFN:
         spec = conv_ffn_spec(4, "inverted", 2)
         params = make_params(spec, seed=39)
         x = rand((1, 4, 8, 8), seed=40)
-        assert finite_difference_check(lambda t: tsum(conv_ffn(t, params, "inverted", 2)), x) < 1e-3
+        assert finite_difference_check(lambda t: tsum(conv_ffn(t, params)), x) < 1e-3
 
 
 class TestConvEnhancementBlock:
     def test_zero_weights_identity(self):
         spec = ceb_spec(4, "dw7", "inverted", 4)
         x = rand((1, 4, 8, 8), seed=41)
-        out = conv_enhancement_block(x, zero_params(spec), "dw7", "inverted", 4)
+        out = conv_enhancement_block(x, zero_params(spec), "dw7")
         assert np.array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("kernel_mode", ["dw7", "three_dw3", "dw5_dw3"])
@@ -359,18 +358,22 @@ class TestConvEnhancementBlock:
         spec = ceb_spec(4, kernel_mode, "inverted", 4)
         params = make_params(spec, seed=42)
         x = rand((2, 4, 8, 8), seed=43)
-        out = conv_enhancement_block(x, params, kernel_mode, "inverted", 4)
+        out = conv_enhancement_block(x, params, kernel_mode)
         assert out.shape == x.shape
+
+    def test_unknown_kernel_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel mode 'dw9'"):
+            ceb_spec(4, "dw9", "inverted", 4)
 
     def test_dw7_matches_primitive_composition(self):
         spec = ceb_spec(4, "dw7", "inverted", 2)
         params = make_params(spec, seed=44)
         x = rand((1, 4, 8, 8), seed=45)
-        out = conv_enhancement_block(x, params, "dw7", "inverted", 2)
+        out = conv_enhancement_block(x, params, "dw7")
         h = gelu(conv2d(x, params["pw_in.weight"], params["pw_in.bias"]))
         h = gelu(conv2d(h, params["dw0.weight"], params["dw0.bias"], padding=3, groups=4))
         h = gelu(conv2d(h, params["pw_out.weight"], params["pw_out.bias"]))
-        h = conv_ffn(h, scoped(params, "ffn."), "inverted", 2)
+        h = conv_ffn(h, scoped(params, "ffn."))
         assert np.array_equal(out.data, (h + x).data)
 
     def test_gradcheck(self):
@@ -378,7 +381,7 @@ class TestConvEnhancementBlock:
         params = make_params(spec, seed=46)
         x = rand((1, 4, 8, 8), seed=47)
         assert finite_difference_check(
-            lambda t: tsum(conv_enhancement_block(t, params, "dw7", "inverted", 2)), x
+            lambda t: tsum(conv_enhancement_block(t, params, "dw7")), x
         ) < 1e-3
 
 
@@ -395,10 +398,10 @@ class TestBlockParamGradients:
         builders = {
             "attention": (attention_spec(4), lambda p: window_self_attention(x, p, 2, 4)),
             "mbb": (multi_branch_spec(4, (2, 2)), lambda p: multi_branch_block(x, p, (2, 2))),
-            "channel_attention": (channel_attention_spec(4, 2), lambda p: channel_attention(x, p, 2)),
-            "freq_fuse": (freq_fuse_spec(4, 2), lambda p: freq_fuse(x, low, p, 2)),
-            "conv_ffn": (conv_ffn_spec(4, "inverted", 2), lambda p: conv_ffn(x, p, "inverted", 2)),
-            "ceb": (ceb_spec(4, "dw7", "inverted", 2), lambda p: conv_enhancement_block(x, p, "dw7", "inverted", 2)),
+            "channel_attention": (channel_attention_spec(4, 2), lambda p: channel_attention(x, p)),
+            "freq_fuse": (freq_fuse_spec(4, 2), lambda p: freq_fuse(x, low, p)),
+            "conv_ffn": (conv_ffn_spec(4, "inverted", 2), lambda p: conv_ffn(x, p)),
+            "ceb": (ceb_spec(4, "dw7", "inverted", 2), lambda p: conv_enhancement_block(x, p, "dw7")),
         }
         spec, apply = builders[name]
         params = make_params(spec, seed=50)

@@ -65,6 +65,10 @@ class TestGen:
     def test_count_zero_rejected_usage(self, tmp_path):
         assert run(["gen", "--out", str(tmp_path / "x"), "--count", "0"]) == cli.EXIT_USAGE
 
+    def test_negative_seed_rejected_usage(self, tmp_path):
+        assert run(["gen", "--out", str(tmp_path / "x"), "--count", "1", "--seed", "-1"]) == cli.EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
     def test_existing_nonempty_dir_needs_force(self, workspace, tmp_path):
         # A private copy: the shared dataset stays as the other tests expect it.
         data = tmp_path / "data"
@@ -228,8 +232,12 @@ class TestConfigSurface:
             "train.beta2=1.5",
             "train.eps=-1",
             "train.weight_decay=nan",
+            "train.seed=-1",
             "scene.size=0,0",
             "scene.dynamic_range=nan",
+            "scene.n_gradients=-1",
+            "scene.n_disks=-3",
+            "scene.n_edges=-1",
             "data.shot_noise_scale=-1",
             "data.read_noise_sigma=-1",
         ],

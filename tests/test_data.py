@@ -4,7 +4,7 @@ dataset directory format."""
 import numpy as np
 import pytest
 
-from crnet.model import preprocess
+from crnet.model import CRNetConfig, preprocess
 from crnet.storage import FormatError
 from crnet.synth import (
     DegradeSpec,
@@ -120,7 +120,7 @@ class TestGroundTruthProperties:
         # The reference frame, exposure-normalized, is the ground truth
         # plus noise/quantization only.
         sample = generate_sample(SceneSpec(seed=10), DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=1))
-        pre = preprocess(sample.stack)
+        pre = preprocess(sample.stack, CRNetConfig().gamma)
         assert np.abs(pre[0, :4] - sample.ground_truth).max() <= 1.0 / 4095.0
 
     def test_sample_generation_deterministic(self):

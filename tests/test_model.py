@@ -241,6 +241,8 @@ class TestForward:
         estimated = forward_batch(stacks, params, cfg).data
         given = forward_batch(stacks, params, cfg, flows=flows).data
         assert np.array_equal(estimated, given)
+        with pytest.raises(ValueError, match="1 flow lists for 2 stacks"):
+            forward_batch(stacks, params, cfg, flows=flows[:1])
 
     def test_exposure_scaling_with_fixed_flows_identical(self):
         cfg = tiny_config()

@@ -392,6 +392,17 @@ class TestElementwise:
         with pytest.raises(ValueError, match="dtype"):
             add(rand((2, 2), dtype=np.float32), rand((2, 2), dtype=F64))
 
+    @pytest.mark.parametrize("op,name,ufunc", [(add, "add", np.add), (sub, "sub", np.subtract), (mul, "mul", np.multiply)])
+    def test_binary_op_operand_handling(self, op, name, ufunc):
+        with pytest.raises(ValueError, match=rf"^{name}: shapes \(2, 3\) and \(4, 5\) do not broadcast$"):
+            op(rand((2, 3)), rand((4, 5)))
+        with pytest.raises(ValueError, match="share one dtype"):
+            op(rand((2, 2), dtype=np.float32), rand((2, 2), dtype=F64))
+        # A scalar operand on either side takes the tensor's dtype.
+        x = rand((2, 2), seed=19, dtype=np.float32)
+        assert op(x, 2.5).data.tobytes() == ufunc(x.data, np.float32(2.5)).tobytes()
+        assert op(2.5, x).data.tobytes() == ufunc(np.float32(2.5), x.data).tobytes()
+
     def test_clamp_min(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True, dtype=F64)
         out = clamp_min(x, 0.0)

@@ -10,7 +10,7 @@ import pytest
 
 from crnet.model import build_params, forward
 from crnet.runconfig import resolve
-from crnet.storage import read_archive, write_archive
+from crnet.storage import FormatError, read_archive, write_archive
 from crnet.synth import DegradeSpec, SceneSpec, generate_sample
 from crnet import tensor as tensor_mod
 from crnet.tensor import Tensor
@@ -375,6 +375,38 @@ class TestCheckpoint:
         assert str(path) in message
         assert "missing=['hfem0.ceb2." in message
         assert "'head.bias' is (5,), expected (4,)" in message
+
+    def _saved_entries(self, tmp_path):
+        cfg, _ = tiny_setup(1)
+        params = build_params(cfg, seed=5)
+        path = tmp_path / "ckpt.crt1a"
+        save_checkpoint(path, params, init_optim_state(params, desk_train_config()))
+        return cfg, path, read_archive(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("optim.m.head.weight", np.zeros((1,), np.float32)),
+            ("optim.v.head.bias", np.zeros((4,), np.float64)),
+        ],
+        ids=["moment_shape", "moment_dtype"],
+    )
+    def test_moment_unlike_its_parameter_is_format_error(self, tmp_path, key, value):
+        # Such a moment used to load, and adamw_step then failed partway
+        # through with a bare numpy error after updating earlier parameters.
+        cfg, path, entries = self._saved_entries(tmp_path)
+        entries[key] = value
+        write_archive(path, entries)
+        with pytest.raises(FormatError, match=f"'{key}' is"):
+            load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("step", [-3.0, np.nan, np.inf, 2.5])
+    def test_step_not_a_count_is_format_error(self, tmp_path, step):
+        cfg, path, entries = self._saved_entries(tmp_path)
+        entries["optim.meta"][0] = step
+        write_archive(path, entries)
+        with pytest.raises(FormatError, match="optim.meta step"):
+            load_checkpoint(path, cfg)
 
 
 class TestEvaluate:
