@@ -100,6 +100,17 @@ class CRNetConfig:
 BLACK_POINT_TOLERANCE = 0.25
 
 
+def validate_exposure_times(times, where: str) -> None:
+    """NUM_FRAMES finite, positive, strictly increasing exposure times."""
+    arr = np.asarray(times, dtype=np.float64)
+    # Written so that NaN and inf fail it: every comparison with NaN is
+    # false, and an inf before the last time leaves an inf or NaN step.
+    if arr.shape != (NUM_FRAMES,) or not (arr[0] > 0 and np.all(np.diff(arr) > 0) and arr[-1] < math.inf):
+        raise ValueError(
+            f"{where}: need {NUM_FRAMES} finite, positive, strictly increasing exposure times, got {arr.tolist()}"
+        )
+
+
 @dataclass
 class ExposureStack:
     """Five raw frames ordered shortest to longest exposure.
@@ -115,13 +126,7 @@ class ExposureStack:
     def validate(self) -> None:
         if len(self.frames) != NUM_FRAMES:
             raise ValueError(f"stack: expected {NUM_FRAMES} frames, got {len(self.frames)}")
-        times = np.asarray(self.exposure_times, dtype=np.float64)
-        if times.shape != (NUM_FRAMES,):
-            raise ValueError(f"stack: expected {NUM_FRAMES} exposure times, got shape {times.shape}")
-        if np.any(times <= 0):
-            raise ValueError("stack: exposure times must be positive")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError(f"stack: exposure times must be strictly increasing, got {times.tolist()}")
+        validate_exposure_times(self.exposure_times, "stack")
         shape = np.asarray(self.frames[0]).shape
         for i, frame in enumerate(self.frames):
             arr = np.asarray(frame)

@@ -129,36 +129,25 @@ def build_run_config(values: Dict[str, object]) -> RunConfig:
     return cfg
 
 
-def parse_config_file(path) -> Dict[str, object]:
-    """Read ``key = value`` lines; '#' starts a comment."""
+def _parse_entries(lines, path=None) -> Dict[str, object]:
+    """``key=value`` entries: --set overrides or, given ``path``, the lines
+    of that config file, where '#' starts a comment and errors start with
+    ``path:lineno:``."""
     reg = registry()
     values: Dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+    for lineno, raw in enumerate(lines, start=1):
+        if path is None:
+            entry, at, expected = raw, "", "--set expects key=value"
+        else:
+            entry, at, expected = raw.split("#", 1)[0].strip(), f"{path}:{lineno}: ", "expected 'key = value'"
+            if not entry:
+                continue
+        if "=" not in entry:
+            raise ConfigError(f"{at}{expected}, got {raw!r}")
+        key, _, value = entry.partition("=")
         key = key.strip()
         if key not in reg:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, value, reg[key])
-    return values
-
-
-def parse_overrides(pairs) -> Dict[str, object]:
-    """--set key=value command-line overrides."""
-    reg = registry()
-    values: Dict[str, object] = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in reg:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{at}unknown config key {key!r}")
         values[key] = _parse_value(key, value, reg[key])
     return values
 
@@ -171,6 +160,6 @@ def resolve(config_file=None, overrides=None, preset: str | None = None) -> RunC
     elif preset is not None:
         raise ConfigError(f"unknown preset {preset!r}; available: desk")
     if config_file is not None:
-        values.update(parse_config_file(config_file))
-    values.update(parse_overrides(overrides))
+        values.update(_parse_entries(Path(config_file).read_text(encoding="utf-8").splitlines(), config_file))
+    values.update(_parse_entries(overrides or ()))
     return build_run_config(values)

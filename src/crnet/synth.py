@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack, warp_by_flow
+from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack, validate_exposure_times, warp_by_flow
 from .storage import FormatError, read_archive, write_archive
 from .tensor import Tensor
 
@@ -63,11 +63,7 @@ class DegradeSpec:
     blur_taps: int = 8
 
     def validate(self) -> None:
-        times = np.asarray(self.exposure_times, dtype=np.float64)
-        if times.shape != (NUM_FRAMES,) or np.any(np.diff(times) <= 0) or times[0] <= 0:
-            raise ValueError(
-                f"degrade: need {NUM_FRAMES} strictly increasing positive exposure times, got {self.exposure_times}"
-            )
+        validate_exposure_times(self.exposure_times, "degrade")
         if self.blur_taps < 1:
             raise ValueError("degrade: blur_taps must be >= 1")
         if not (0 <= self.read_noise_sigma < np.inf and 0 <= self.shot_noise_scale < np.inf):

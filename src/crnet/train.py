@@ -3,8 +3,8 @@
 Training is bit-reproducible for a fixed seed: sample order, crops and
 flips are all drawn from generators re-derived per (seed, purpose,
 step), so resuming from a checkpoint replays the exact remainder of an
-unbroken run. A non-finite loss or gradient aborts the run before the
-update and leaves the last good checkpoint in place.
+unbroken run. A non-finite loss, gradient or updated parameter aborts
+the run and leaves the last good checkpoint in place.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .tensor import Tensor
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
+    """Training hit a non-finite loss, gradient or updated parameter."""
 
 
 # Purpose tags for per-step generator derivation.
@@ -84,67 +84,72 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptimState:
-    """Decoupled-weight-decay Adam state, one moment pair per parameter."""
+    """Decoupled-weight-decay Adam state: one moment pair per parameter and
+    the step count. The settings (lr, betas, decay, eps) live in TrainConfig."""
 
     m: Dict[str, np.ndarray]
     v: Dict[str, np.ndarray]
     step: int = 0
-    lr: float = 1e-4
-    betas: Tuple[float, float] = (0.9, 0.999)
-    weight_decay: float = 0.01
-    eps: float = 1e-8
 
 
 def init_optim_state(params: Params, cfg: TrainConfig) -> OptimState:
+    """Zero moments at step 0. ``cfg`` is not read; the settings come from
+    the TrainConfig that each adamw_step call is given."""
     return OptimState(
         m={k: np.zeros_like(p.data) for k, p in params.items()},
         v={k: np.zeros_like(p.data) for k, p in params.items()},
-        step=0,
-        lr=cfg.initial_lr,
-        betas=(cfg.beta1, cfg.beta2),
-        weight_decay=cfg.weight_decay,
-        eps=cfg.eps,
     )
 
 
-def adamw_step(params: Params, grads: Dict[str, np.ndarray], state: OptimState) -> None:
-    """One update: multiplicative decoupled decay, then the adaptive step.
+def adamw_step(params: Params, state: OptimState, lr: float, cfg: TrainConfig) -> None:
+    """One update from each parameter's ``.grad``: multiplicative decoupled
+    decay, then the adaptive step. Releases every ``.grad`` afterwards.
 
-    Biases (1-d parameters) are excluded from weight decay. Missing
-    gradients are rejected by parameter path.
+    Biases (1-d parameters) are excluded from weight decay. A missing
+    gradient (ValueError) or a non-finite one (NumericError) is rejected
+    by parameter path before anything changes; a parameter that the
+    update makes non-finite raises NumericError at once.
     """
-    for path in params:
-        if path not in grads or grads[path] is None:
+    step = state.step
+    for path, p in params.items():
+        if p.grad is None:
             raise ValueError(f"adamw_step: no gradient for parameter {path!r}")
-    beta1, beta2 = state.betas
+        if not np.isfinite(p.grad).all():
+            raise NumericError(f"non-finite gradient for {path!r} at step {step}; last checkpoint retained")
+    beta1, beta2 = cfg.beta1, cfg.beta2
     state.step += 1
     t = state.step
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
-    for path, p in params.items():
-        g = grads[path]
-        if state.weight_decay and p.data.ndim > 1:
-            p.data *= 1.0 - state.lr * state.weight_decay
-        m = state.m[path]
-        v = state.v[path]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    # An lr beyond the parameter dtype's range overflows here; the check
+    # below reports it instead of a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for path, p in params.items():
+            g = p.grad
+            if cfg.weight_decay and p.data.ndim > 1:
+                p.data *= 1.0 - lr * cfg.weight_decay
+            m = state.m[path]
+            v = state.v[path]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+            if not np.isfinite(p.data).all():
+                raise NumericError(
+                    f"non-finite parameter {path!r} after the update at step {step}; last checkpoint retained"
+                )
+            p.grad = None
 
 
 # -- checkpointing -------------------------------------------------------------
 
-_OPT_META = "optim.meta"
+_OPT_STEP = "optim.step"
 
 
 def save_checkpoint(path, params: Params, state: OptimState) -> None:
     entries: Dict[str, np.ndarray] = {k: p.data for k, p in params.items()}
-    entries[_OPT_META] = np.array(
-        [state.step, state.lr, state.betas[0], state.betas[1], state.weight_decay, state.eps],
-        dtype=np.float64,
-    )
+    entries[_OPT_STEP] = np.array(state.step, dtype=np.float64)
     for k in params:
         entries[f"optim.m.{k}"] = state.m[k]
         entries[f"optim.v.{k}"] = state.v[k]
@@ -154,10 +159,10 @@ def save_checkpoint(path, params: Params, state: OptimState) -> None:
 def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
     """Load params + optimizer state, validating against cfg's layout.
 
-    A layout mismatch raises ValueError listing every missing,
-    unexpected and wrongly shaped parameter path; absent optimizer
-    entries, a moment whose shape or dtype differs from its parameter's,
-    and a step that is not a finite integer >= 0 raise FormatError.
+    A parameter layout mismatch raises ValueError listing every missing,
+    unexpected and wrongly shaped path. A missing or malformed step, or
+    Adam moments whose layout or dtype differs from their parameters',
+    raise FormatError.
     """
     entries = read_archive(path)
     stored = {k: v for k, v in entries.items() if not k.startswith("optim.")}
@@ -165,36 +170,24 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
         validate_params(stored, cfg)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    spec = param_spec(cfg)
-    needed = [_OPT_META] + [f"optim.{moment}.{k}" for k in spec for moment in ("m", "v")]
-    absent = [k for k in needed if k not in entries]
-    if absent:
-        raise FormatError(f"checkpoint {path}: {len(absent)} optimizer entries missing, first {absent[0]!r}")
-    meta = entries[_OPT_META]
-    if meta.shape != (6,):
-        raise FormatError(f"checkpoint {path}: {_OPT_META} must hold 6 values, got shape {meta.shape}")
-    step = float(meta[0])
-    if not (step >= 0 and step.is_integer()):
-        raise FormatError(f"checkpoint {path}: {_OPT_META} step must be a finite integer >= 0, got {step}")
-    for k in spec:
-        for key in (f"optim.m.{k}", f"optim.v.{k}"):
-            moment = entries[key]
-            if moment.shape != stored[k].shape or moment.dtype != stored[k].dtype:
-                raise FormatError(
-                    f"checkpoint {path}: {key!r} is {moment.shape} {moment.dtype}, "
-                    f"expected {stored[k].shape} {stored[k].dtype} like its parameter"
-                )
-    params: Params = {k: Tensor(stored[k], requires_grad=True) for k in spec}
-    state = OptimState(
-        m={k: entries[f"optim.m.{k}"] for k in spec},
-        v={k: entries[f"optim.v.{k}"] for k in spec},
-        step=int(step),
-        lr=float(meta[1]),
-        betas=(float(meta[2]), float(meta[3])),
-        weight_decay=float(meta[4]),
-        eps=float(meta[5]),
-    )
-    return params, state
+    if _OPT_STEP not in entries:
+        raise FormatError(f"checkpoint {path}: no {_OPT_STEP!r} entry (checkpoints from before it are not read)")
+    step = entries[_OPT_STEP]
+    if step.shape != () or not (step >= 0 and float(step).is_integer()):
+        raise FormatError(f"checkpoint {path}: {_OPT_STEP} must be one finite integer >= 0, got {step!r}")
+    moments = {}
+    for name in ("m", "v"):
+        prefix = f"optim.{name}."
+        moments[name] = {k[len(prefix) :]: a for k, a in entries.items() if k.startswith(prefix)}
+        try:
+            validate_params(moments[name], cfg)
+        except ValueError as exc:
+            raise FormatError(f"checkpoint {path}: {prefix}*: {exc}") from None
+        unlike = [prefix + k for k, a in moments[name].items() if a.dtype != stored[k].dtype]
+        if unlike:
+            raise FormatError(f"checkpoint {path}: {unlike} differ in dtype from their parameters")
+    params: Params = {k: Tensor(stored[k], requires_grad=True) for k in param_spec(cfg)}
+    return params, OptimState(m=moments["m"], v=moments["v"], step=int(step))
 
 
 # -- augmentation ----------------------------------------------------------------
@@ -258,21 +251,18 @@ def train(
 
     Deterministic given train_cfg.seed. Checkpoints go to
     out_dir/checkpoint.crt1a every ckpt_every epochs and at the end; a
-    non-finite loss or parameter gradient raises NumericError before the
-    update, without overwriting the previous checkpoint. Passing a
+    non-finite loss, parameter gradient or updated parameter raises
+    NumericError without overwriting the previous checkpoint. Passing a
     restored optimizer state resumes exactly where the stored step count
-    left off.
+    left off; the optimizer settings always come from train_cfg.
     """
     if not dataset:
         raise ValueError("train: dataset is empty")
     train_cfg.validate()
     if state is None:
         state = init_optim_state(params, train_cfg)
-    # A restored state keeps its moments and step count; the optimizer
-    # settings follow train_cfg, as the learning rate does below.
-    state.betas = (train_cfg.beta1, train_cfg.beta2)
-    state.weight_decay = train_cfg.weight_decay
-    state.eps = train_cfg.eps
+    for p in params.values():
+        p.zero_grad()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,28 +288,19 @@ def train(
                 sample = augment(sample, aug_rng, min(train_cfg.crop, h, w))
             batch.append(sample)
 
-        state.lr = lr_at(epoch, train_cfg)
+        lr = lr_at(epoch, train_cfg)
         prediction = forward_batch([s.stack for s in batch], params, model_cfg)
-        target = Tensor(np.stack([s.ground_truth for s in batch]))
+        target = Tensor(np.stack([s.ground_truth for s in batch]), dtype=prediction.dtype)
         loss = l1_tonemapped_loss(prediction, target, model_cfg.mu)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise NumericError(
                 f"non-finite loss {loss_value} at step {step}; last checkpoint retained"
             )
-        for p in params.values():
-            p.zero_grad()
         loss.backward()
-        for path, p in params.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericError(
-                    f"non-finite gradient for {path!r} at step {step}; last checkpoint retained"
-                )
-        adamw_step(params, {k: p.grad for k, p in params.items()}, state)
-        for p in params.values():
-            p.zero_grad()
+        adamw_step(params, state, lr, train_cfg)
 
-        history.append(HistoryRow(step=step, epoch=epoch, lr=state.lr, loss=loss_value))
+        history.append(HistoryRow(step=step, epoch=epoch, lr=lr, loss=loss_value))
         step = state.step
         # Every ckpt_every epochs; the final checkpoint is written after the loop.
         if ckpt_path is not None and step < total_steps and step % ckpt_interval == 0:

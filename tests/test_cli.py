@@ -125,8 +125,10 @@ class TestTrainEvalInfer:
         entries = read_archive(workspace / "run" / "checkpoint.crt1a")
         params_only = {k: v for k, v in entries.items() if not k.startswith("optim.")}
         no_moment = {k: v for k, v in entries.items() if k != "optim.m.head.bias"}
-        short_meta = {**entries, "optim.meta": entries["optim.meta"][:3]}
-        for name, archive in (("params", params_only), ("moment", no_moment), ("meta", short_meta)):
+        bad_step = {**entries, "optim.step": np.full(3, entries["optim.step"])}
+        old_format = {k: v for k, v in entries.items() if k != "optim.step"} | {"optim.meta": np.zeros(6)}
+        cases = (("params", params_only), ("moment", no_moment), ("step", bad_step), ("old", old_format))
+        for name, archive in cases:
             ckpt = tmp_path / f"{name}.crt1a"
             write_archive(ckpt, archive)
             code = run(["eval", "--data", str(workspace / "data"), "--ckpt", str(ckpt), *DESK])
@@ -240,6 +242,8 @@ class TestConfigSurface:
             "scene.n_edges=-1",
             "data.shot_noise_scale=-1",
             "data.read_noise_sigma=-1",
+            "data.exposure_times=nan,4,16,64,256",
+            "data.exposure_times=1,4,16,64,inf",
         ],
     )
     def test_unknown_key_is_usage_error(self, pair):

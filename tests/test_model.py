@@ -68,6 +68,12 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="increasing"):
             make_stack(times=(1.0, 4.0, 4.0, 64.0, 256.0)).validate()
 
+    @pytest.mark.parametrize("times", [(1, 2, np.nan, 4, 5), (1, 2, 3, 4, np.inf)], ids=["nan", "inf"])
+    def test_non_finite_times_rejected(self, times):
+        # Both used to pass validate(), and preprocess then returned non-finite values.
+        with pytest.raises(ValueError, match="increasing"):
+            preprocess(make_stack(seed=6, times=times), GAMMA)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.5])
     def test_non_finite_or_out_of_range_frame_rejected(self, bad):
         stack = make_stack(seed=7)

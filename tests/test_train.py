@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from crnet import tensor as tensor_mod
 from crnet.tensor import Tensor
 from crnet.train import (
     NumericError,
-    OptimState,
     TrainConfig,
     adamw_step,
     augment,
@@ -40,23 +40,22 @@ def desk_train_config(**extra):
     return dataclasses.replace(DESK.train, **extra)
 
 
-def scalar_state(lr=0.01, wd=0.0):
-    return OptimState(
-        m={"w": np.zeros((1, 1))},
-        v={"w": np.zeros((1, 1))},
-        step=0,
-        lr=lr,
-        betas=(0.9, 0.999),
-        weight_decay=wd,
-        eps=1e-8,
-    )
+def zero_state(params):
+    return init_optim_state(params, TrainConfig())
+
+
+def step_with(params, grads, state, lr=0.01, wd=0.0):
+    """Set each named parameter's .grad, then take one AdamW step."""
+    for path, g in grads.items():
+        params[path].grad = g
+    adamw_step(params, state, lr, TrainConfig(weight_decay=wd))
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_fixed_point(self):
         params = {"w": Tensor(np.full((1, 1), 2.0), requires_grad=True)}
-        state = scalar_state(wd=0.0)
-        adamw_step(params, {"w": np.zeros((1, 1))}, state)
+        state = zero_state(params)
+        step_with(params, {"w": np.zeros((1, 1))}, state)
         assert params["w"].data[0, 0] == 2.0
         assert np.all(state.m["w"] == 0.0) and np.all(state.v["w"] == 0.0)
         assert state.step == 1
@@ -64,8 +63,7 @@ class TestAdamW:
     def test_single_step_matches_hand_evaluated_update(self):
         lr, b1, b2, eps, g0, w0 = 0.01, 0.9, 0.999, 1e-8, 0.5, 2.0
         params = {"w": Tensor(np.full((1, 1), w0), requires_grad=True)}
-        state = scalar_state(lr=lr)
-        adamw_step(params, {"w": np.full((1, 1), g0)}, state)
+        step_with(params, {"w": np.full((1, 1), g0)}, zero_state(params), lr=lr)
         m = (1 - b1) * g0
         v = (1 - b2) * g0 * g0
         m_hat = m / (1 - b1)
@@ -77,32 +75,51 @@ class TestAdamW:
         # 2-d parameters decay; with zero gradient the adaptive term is 0.
         value, lr, wd = 3.0, 0.01, 0.1
         params = {"w": Tensor(np.full((2, 2), value), requires_grad=True)}
-        state = OptimState(
-            m={"w": np.zeros((2, 2))}, v={"w": np.zeros((2, 2))}, lr=lr, weight_decay=wd
-        )
-        adamw_step(params, {"w": np.zeros((2, 2))}, state)
+        step_with(params, {"w": np.zeros((2, 2))}, zero_state(params), lr=lr, wd=wd)
         assert np.allclose(params["w"].data, value - lr * wd * value)
 
     def test_biases_excluded_from_decay(self):
         params = {"b": Tensor(np.full((3,), 1.0), requires_grad=True)}
-        state = OptimState(m={"b": np.zeros(3)}, v={"b": np.zeros(3)}, lr=0.01, weight_decay=0.5)
-        adamw_step(params, {"b": np.zeros(3)}, state)
+        step_with(params, {"b": np.zeros(3)}, zero_state(params), lr=0.01, wd=0.5)
         assert np.all(params["b"].data == 1.0)
 
     def test_missing_gradient_names_parameter(self):
         params = {"layer.weight": Tensor(np.zeros((2, 2)), requires_grad=True)}
         with pytest.raises(ValueError, match="layer.weight"):
-            adamw_step(params, {}, scalar_state())
+            step_with(params, {}, zero_state(params))
 
     def test_bit_deterministic(self):
         def run():
             params = {"w": Tensor(np.full((4, 4), 0.5), requires_grad=True)}
-            state = OptimState(m={"w": np.zeros((4, 4))}, v={"w": np.zeros((4, 4))}, lr=1e-3)
+            state = zero_state(params)
             g = np.linspace(-1, 1, 16).reshape(4, 4)
             for _ in range(5):
-                adamw_step(params, {"w": g}, state)
+                step_with(params, {"w": g}, state, lr=1e-3, wd=0.01)
             return params["w"].data
         assert np.array_equal(run(), run())
+
+    def test_releases_every_gradient(self):
+        params = {"w": Tensor(np.ones((2, 2)), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+        step_with(params, {"w": np.full((2, 2), 0.5), "b": np.full(2, -0.5)}, zero_state(params))
+        assert all(p.grad is None for p in params.values())
+
+    def test_non_finite_gradient_changes_nothing(self):
+        # "w" comes first, so an update interleaved with the checks would change it.
+        params = {"w": Tensor(np.ones((2, 2)), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+        state = zero_state(params)
+        step_with(params, {"w": np.full((2, 2), 0.5), "b": np.full(2, -0.5)}, state)
+        before = {k: (p.data.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.items()}
+        with pytest.raises(NumericError, match=r"non-finite gradient for 'b' at step 1"):
+            step_with(params, {"w": np.full((2, 2), 0.5), "b": np.array([0.5, np.nan])}, state)
+        for k, p in params.items():
+            assert all(np.array_equal(a, b) for a, b in zip(before[k], (p.data, state.m[k], state.v[k])))
+        assert state.step == 1
+
+    def test_non_finite_update_names_parameter(self):
+        # 1e39 overflows float32 in the update, which raises, not warns.
+        params = {"w": Tensor(np.ones((2, 2), np.float32), requires_grad=True)}
+        with pytest.raises(NumericError, match=r"non-finite parameter 'w' after the update at step 0"):
+            step_with(params, {"w": np.full((2, 2), 0.5, np.float32)}, zero_state(params), lr=1e39)
 
 
 class TestLRSchedule:
@@ -266,7 +283,6 @@ class TestTrainLoop:
             params, state = load_checkpoint(tmp_path / "checkpoint.crt1a", cfg)
             tcfg = desk_train_config(epochs=3, batch=1, seed=9, weight_decay=decay)
             train(dataset, cfg, tcfg, params, state)
-            assert state.weight_decay == decay
             finals.append(params["head.weight"].data)
         assert not np.array_equal(finals[0], finals[1])
 
@@ -307,6 +323,28 @@ class TestTrainLoop:
         assert state.step == 1
         assert all(np.array_equal(resumed[k].data, before[k]) for k in before)
         assert (tmp_path / "checkpoint.crt1a").read_bytes() == good
+
+    def test_overflowing_update_aborts_and_keeps_checkpoint(self, tmp_path):
+        # initial_lr = 1e39 is a finite Python float, but the update overflows float32.
+        cfg, dataset = tiny_setup(1)
+        params = build_params(cfg, seed=3)
+        train(dataset, cfg, desk_train_config(epochs=1, batch=1, seed=0), params, out_dir=tmp_path)
+        good = (tmp_path / "checkpoint.crt1a").read_bytes()
+        resumed, state = load_checkpoint(tmp_path / "checkpoint.crt1a", cfg)
+        huge = desk_train_config(epochs=3, batch=1, seed=0, ckpt_every=1, initial_lr=1e39, augment=False)
+        with pytest.raises(NumericError, match=r"non-finite parameter '.+' after the update at step 1"):
+            train(dataset, cfg, huge, resumed, state, out_dir=tmp_path)
+        assert (tmp_path / "checkpoint.crt1a").read_bytes() == good
+
+    def test_float64_parameters_train(self):
+        cfg, dataset = tiny_setup(1)
+        tcfg = desk_train_config(epochs=2, batch=1, seed=0)
+        params32 = build_params(cfg, seed=0)
+        params64 = build_params(cfg, seed=0, dtype=np.float64)
+        _, hist32 = train(dataset, cfg, tcfg, params32)
+        _, hist64 = train(dataset, cfg, tcfg, params64)
+        assert all(p.data.dtype == np.float64 for p in params64.values())
+        assert hist64[0].loss == pytest.approx(hist32[0].loss, rel=1e-6)
 
     @pytest.mark.parametrize("epochs,ckpt_every,writes", [(1, 10, 1), (4, 2, 2)])
     def test_final_checkpoint_written_once(self, tmp_path, monkeypatch, epochs, ckpt_every, writes):
@@ -353,9 +391,9 @@ class TestCheckpoint:
         stack = dataset[0].stack
         assert np.array_equal(forward(stack, params, cfg).data, forward(stack, loaded, cfg).data)
         assert loaded_state.step == state.step
-        assert loaded_state.betas == state.betas
         for k in params:
             assert np.array_equal(loaded_state.m[k], state.m[k])
+            assert np.array_equal(loaded_state.v[k], state.v[k])
 
     def test_config_mismatch_lists_paths(self, tmp_path):
         cfg, _ = tiny_setup(1)
@@ -384,29 +422,49 @@ class TestCheckpoint:
         return cfg, path, read_archive(path)
 
     @pytest.mark.parametrize(
-        "key,value",
+        "key,value,match",
         [
-            ("optim.m.head.weight", np.zeros((1,), np.float32)),
-            ("optim.v.head.bias", np.zeros((4,), np.float64)),
+            ("optim.m.head.weight", np.zeros((1,), np.float32), r"optim\.m\.\*.*'head\.weight' is \(1,\)"),
+            ("optim.v.head.bias", np.zeros((4,), np.float64), r"\['optim\.v\.head\.bias'\] differ in dtype"),
         ],
         ids=["moment_shape", "moment_dtype"],
     )
-    def test_moment_unlike_its_parameter_is_format_error(self, tmp_path, key, value):
+    def test_moment_unlike_its_parameter_is_format_error(self, tmp_path, key, value, match):
         # Such a moment used to load, and adamw_step then failed partway
         # through with a bare numpy error after updating earlier parameters.
         cfg, path, entries = self._saved_entries(tmp_path)
         entries[key] = value
         write_archive(path, entries)
-        with pytest.raises(FormatError, match=f"'{key}' is"):
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path, cfg)
 
     @pytest.mark.parametrize("step", [-3.0, np.nan, np.inf, 2.5])
     def test_step_not_a_count_is_format_error(self, tmp_path, step):
         cfg, path, entries = self._saved_entries(tmp_path)
-        entries["optim.meta"][0] = step
+        entries["optim.step"] = np.array(step)
         write_archive(path, entries)
-        with pytest.raises(FormatError, match="optim.meta step"):
+        with pytest.raises(FormatError, match="optim.step must be"):
             load_checkpoint(path, cfg)
+
+    def test_old_format_checkpoint_is_format_error(self, tmp_path):
+        # Before optim.step, a checkpoint kept the step and five settings in optim.meta.
+        cfg, path, entries = self._saved_entries(tmp_path)
+        step = entries.pop("optim.step")
+        entries["optim.meta"] = np.array([step, 1e-4, 0.9, 0.999, 0.01, 1e-8])
+        write_archive(path, entries)
+        with pytest.raises(FormatError, match="no 'optim.step' entry"):
+            load_checkpoint(path, cfg)
+
+    def test_entries_are_params_step_and_moments_as_readme_states(self, tmp_path):
+        cfg, dataset = tiny_setup(1)
+        params = build_params(cfg, seed=5)
+        train(dataset, cfg, desk_train_config(epochs=1, batch=1), params, out_dir=tmp_path)
+        names = list(read_archive(tmp_path / "checkpoint.crt1a"))
+        want = list(params) + ["optim.step"] + [f"optim.{m}.{k}" for k in params for m in ("m", "v")]
+        assert sorted(names) == sorted(want)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for entry in ("`optim.step`", "`optim.m.<path>`", "`optim.v.<path>`"):
+            assert entry in readme
 
 
 class TestEvaluate:
