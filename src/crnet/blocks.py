@@ -71,11 +71,11 @@ def _conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
     return {"weight": (cout, cin, k, k), "bias": (cout,)}
 
 
-def conv(x: Tensor, params: Params, key: str, groups: int = 1) -> Tensor:
-    """Apply layer ``key`` of params; the (k - 1) // 2 zero padding of its
-    k x k kernel keeps the spatial extents."""
+def conv(x: Tensor, params: Params, key: str, groups: int = 1, gelu_input: bool = False) -> Tensor:
+    """Apply layer ``key`` of params, to gelu(x) with gelu_input; the (k - 1) // 2
+    zero padding of its k x k kernel keeps the spatial extents."""
     weight = params[f"{key}.weight"]
-    return conv2d(x, weight, params[f"{key}.bias"], padding=(weight.shape[-1] - 1) // 2, groups=groups)
+    return conv2d(x, weight, params[f"{key}.bias"], (weight.shape[-1] - 1) // 2, groups, gelu_input)
 
 
 # -- frequency separation ----------------------------------------------------
@@ -184,15 +184,15 @@ def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int]) -> Ten
 
     The deep chain biases toward fine detail, the shallow one toward
     smooth structure. An empty second branch degenerates into the skip
-    path itself, so the output stays a three-term sum at most.
+    path itself, so the output stays a three-term sum at most. GELU follows
+    each conv: the next conv in the chain applies it, a gelu node at the end.
     """
     n_a, n_b = split
 
-    def chain(start: Tensor, branch: str, count: int) -> Tensor:
-        h = start
+    def chain(h: Tensor, branch: str, count: int) -> Tensor:
         for j in range(count):
-            h = gelu(conv(h, params, f"{branch}.conv{j}"))
-        return h
+            h = conv(h, params, f"{branch}.conv{j}", gelu_input=j > 0)
+        return gelu(h) if count else h
 
     out = chain(x, "branchA", n_a)
     if n_b > 0:
@@ -213,7 +213,7 @@ def channel_attention_spec(c: int, reduction: int) -> ParamSpec:
 
 def channel_attention(x: Tensor, params: Params) -> Tensor:
     """Gate each channel by a squeeze-excite function of its global mean."""
-    gate = sigmoid(conv(gelu(conv(global_avg_pool(x), params, "fc1")), params, "fc2"))
+    gate = sigmoid(conv(conv(global_avg_pool(x), params, "fc1"), params, "fc2", gelu_input=True))
     return mul(x, gate)
 
 
@@ -272,7 +272,7 @@ def conv_ffn(x: Tensor, params: Params) -> Tensor:
     The middle width is fc1's output axis: widened, narrowed, or
     unchanged by the spec's mode.
     """
-    return conv(gelu(conv(x, params, "fc1")), params, "fc2") + x
+    return conv(conv(x, params, "fc1"), params, "fc2", gelu_input=True) + x
 
 
 # -- convolutional enhancement block --------------------------------------------
@@ -298,11 +298,13 @@ def conv_enhancement_block(x: Tensor, params: Params, kernel_mode: str) -> Tenso
     kernel_mode names the depthwise stage's kernels in CEB_DW_KERNELS:
     one 7x7, or for the ablations three 3x3 or a 5x5 then a 3x3. Every
     convolution is followed by GELU; a skip path wraps the whole block.
+    The GELUs of pw_in and the depthwise convs are applied by the next conv
+    to its input; pw_out's is a gelu node, as the FFN's skip path reads it.
     """
-    h = gelu(conv(x, params, "pw_in"))
+    h = conv(x, params, "pw_in")
     for j in range(len(CEB_DW_KERNELS[kernel_mode])):
-        h = gelu(conv(h, params, f"dw{j}", groups=x.shape[1]))
-    h = gelu(conv(h, params, "pw_out"))
+        h = conv(h, params, f"dw{j}", groups=x.shape[1], gelu_input=True)
+    h = gelu(conv(h, params, "pw_out", gelu_input=True))
     h = conv_ffn(h, scoped(params, "ffn."))
     return h + x
 

@@ -438,9 +438,9 @@ def forward_batch(
             state = outs[-1]
 
     fused = concat(outs + [ref_features], axis=1)
-    y = gelu(conv(fused, params, "fusion.conv0"))
-    y = gelu(conv(y, params, "fusion.conv1"))
-    y = conv(y, params, "head")
+    y = conv(fused, params, "fusion.conv0")
+    y = conv(y, params, "fusion.conv1", gelu_input=True)
+    y = conv(y, params, "head", gelu_input=True)
     return clamp_min(y, 0.0)
 
 

@@ -288,10 +288,9 @@ _GELU_A = 0.044715
 def _gelu_tanh(d: np.ndarray) -> np.ndarray:
     """tanh(C * (d + A * d^3)) in one new array.
 
-    gelu's forward and backward both call this, so the tanh that backward
-    recomputes is the forward's, bit for bit. The cube is a product:
-    float32 ``**3`` goes through ``powf``, which is over 100x slower than
-    two multiplies.
+    gelu and conv2d's gelu_input call this in forward and backward, so the
+    tanh that backward recomputes is the forward's, bit for bit. The cube is
+    a product: float32 ``**3`` goes through ``powf``, over 100x slower.
     """
     # Beyond |x| ~ 7e12 the float32 cube overflows to inf; the tanh then
     # saturates to exactly +-1, which is the correct value.
@@ -304,6 +303,36 @@ def _gelu_tanh(d: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
+def _gelu_forward(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu(d) = 0.5 * d * (1 + t) in one new array, t = _gelu_tanh(d); t becomes 1 + t."""
+    t += 1.0
+    out = 0.5 * d
+    out *= t
+    return out
+
+
+def _gelu_vjp(d: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * gelu'(d) in one new array, t = _gelu_tanh(d), which is left unchanged."""
+    scratch = np.multiply(t, t, out=np.empty_like(d))
+    np.subtract(1.0, scratch, out=scratch)
+    local = 0.5 * d
+    local *= scratch
+    # 1 - t**2 is exactly 0 beyond |x| = 1e3 (float32 and float64); the bound
+    # keeps x*x finite there, so the product is 0, not 0 * inf = NaN.
+    np.abs(d, out=scratch)
+    np.minimum(scratch, 1e3, out=scratch)
+    scratch *= scratch
+    scratch *= 3.0 * _GELU_A
+    scratch += 1.0
+    scratch *= _GELU_C
+    local *= scratch
+    np.add(t, 1.0, out=scratch)
+    scratch *= 0.5
+    local += scratch
+    local *= g
+    return local
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU via the tanh approximation.
 
@@ -311,34 +340,13 @@ def gelu(x: Tensor) -> Tensor:
     The constants are fixed so outputs are bit-stable across platforms.
     Backward keeps only ``x`` (the producing op's output, alive anyway)
     and recomputes the tanh: storing it would keep a second array of the
-    input's size per call until backward runs.
+    input's size per call until backward runs. A GELU that feeds only a
+    conv belongs in ``conv2d(..., gelu_input=True)``, which keeps no output.
     """
-    t = _gelu_tanh(x.data)
-    t += 1.0
-    data = 0.5 * x.data
-    data *= t
+    data = _gelu_forward(x.data, _gelu_tanh(x.data))
 
     def backward(g):
-        d = x.data
-        t = _gelu_tanh(d)
-        scratch = np.multiply(t, t, out=np.empty_like(d))
-        np.subtract(1.0, scratch, out=scratch)
-        local = 0.5 * d
-        local *= scratch
-        # 1 - t**2 is exactly 0 beyond |x| = 1e3 (float32 and float64); the bound
-        # keeps x*x finite there, so the product is 0, not 0 * inf = NaN.
-        np.abs(d, out=scratch)
-        np.minimum(scratch, 1e3, out=scratch)
-        scratch *= scratch
-        scratch *= 3.0 * _GELU_A
-        scratch += 1.0
-        scratch *= _GELU_C
-        local *= scratch
-        t += 1.0
-        t *= 0.5
-        local += t
-        local *= g
-        x._accumulate(local)
+        x._accumulate(_gelu_vjp(x.data, _gelu_tanh(x.data), g))
 
     return _node(data, (x,), backward)
 
@@ -492,6 +500,7 @@ def conv2d(
     bias: Optional[Tensor] = None,
     padding: int = 0,
     groups: int = 1,
+    gelu_input: bool = False,
 ) -> Tensor:
     """2-d cross-correlation over [B, Cin, H, W] with grouped kernels.
 
@@ -503,6 +512,10 @@ def conv2d(
     same views. The input gradient is the output gradient, padded by
     k-1-padding, correlated with the kernel flipped in space and
     transposed within each group.
+
+    With gelu_input the node convolves gelu(x) and still keeps only x:
+    backward rebuilds gelu(x) bit for bit from one recomputed tanh for the
+    weight gradient and scales the input gradient by gelu'(x).
     """
     parents = [x, weight] + ([bias] if bias is not None else [])
     _check_same_dtype(*parents)
@@ -525,26 +538,33 @@ def conv2d(
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"conv2d: kernel {kh}x{kw} with padding {padding} exceeds input {height}x{width}")
 
-    out = _correlate(x.data, weight.data, groups, padding, padding)
+    a = _gelu_forward(x.data, _gelu_tanh(x.data)) if gelu_input else x.data
+    out = _correlate(a, weight.data, groups, padding, padding)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
     def backward(g):
+        a = x.data
+        t = _gelu_tanh(a) if gelu_input else None
+        if x.requires_grad:
+            # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
+            wt = weight.data.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
+            wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
+            gx = _correlate(g, wt, groups, kh - 1 - padding, kw - 1 - padding)
+            x._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
+            del gx
+        if gelu_input:
+            a = _gelu_forward(a, t)  # the forward's gelu(x); after _gelu_vjp, which needs the bare tanh
         # g in the taps' row layout, zeros in the junk columns
         gp = np.zeros((batch, cout, out_h, width + 2 * padding), g.dtype)
         gp[..., :out_w] = g
         gp = gp.reshape(batch, groups, cout // groups, -1)
         dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
-        for i, j, view in _taps(x.data, groups, kh, kw, padding, padding):
+        for i, j, view in _taps(a, groups, kh, kw, padding, padding):
             dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
         weight._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(weight.shape))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
-            wt = weight.data.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
-            wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
-            x._accumulate(_correlate(g, wt, groups, kh - 1 - padding, kw - 1 - padding))
 
     return _node(out, parents, backward)
 

@@ -160,9 +160,9 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
     """Load params + optimizer state, validating against cfg's layout.
 
     A parameter layout mismatch raises ValueError listing every missing,
-    unexpected and wrongly shaped path. A missing or malformed step, or
-    Adam moments whose layout or dtype differs from their parameters',
-    raise FormatError.
+    unexpected and wrongly shaped path. A missing or malformed step, Adam
+    moments whose layout or dtype differs from their parameters', or a
+    non-finite parameter or moment raise FormatError naming the entries.
     """
     entries = read_archive(path)
     stored = {k: v for k, v in entries.items() if not k.startswith("optim.")}
@@ -186,6 +186,9 @@ def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
         unlike = [prefix + k for k, a in moments[name].items() if a.dtype != stored[k].dtype]
         if unlike:
             raise FormatError(f"checkpoint {path}: {unlike} differ in dtype from their parameters")
+    non_finite = [k for k, a in entries.items() if not np.isfinite(a).all()]
+    if non_finite:
+        raise FormatError(f"checkpoint {path}: {non_finite} hold non-finite values")
     params: Params = {k: Tensor(stored[k], requires_grad=True) for k in param_spec(cfg)}
     return params, OptimState(m=moments["m"], v=moments["v"], step=int(step))
 

@@ -2,6 +2,7 @@
 parameter parity, and gradient checks at toy sizes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,23 @@ class TestConvEnhancementBlock:
         h = gelu(conv2d(h, params["pw_out.weight"], params["pw_out.bias"]))
         h = conv_ffn(h, scoped(params, "ffn."))
         assert np.array_equal(out.data, (h + x).data)
+
+    def test_forward_keeps_at_most_12x_its_input(self):
+        # The graph keeps each conv's output and pw_out's standalone GELU (9x
+        # the input at expansion 4, where fc1's output is 4x), plus the two
+        # residual sums: 11x. Storing the GELU outputs that feed dw0, pw_out
+        # and fc2 would add 6x more.
+        x = Tensor(np.random.default_rng(48).normal(size=(1, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        params = make_params(ceb_spec(64, "dw7", "inverted", 4), seed=49, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = conv_enhancement_block(x, params, "dw7")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert kept <= 12 * x.data.nbytes
 
     def test_gradcheck(self):
         spec = ceb_spec(4, "dw7", "inverted", 2)

@@ -136,6 +136,25 @@ class TestTrainEvalInfer:
             err = capsys.readouterr().err
             assert "[data]" in err and "optim" in err and "Traceback" not in err, name
 
+    def test_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        # An all-NaN checkpoint used to evaluate to nan for every metric and exit 0.
+        # Resuming from it used to stop on a NaN loss (exit 4) after the first forward.
+        entries = read_archive(workspace / "run" / "checkpoint.crt1a")
+        ckpt = tmp_path / "nan.crt1a"
+        write_archive(ckpt, {k: v if k == "optim.step" else np.full_like(v, np.nan) for k, v in entries.items()})
+        data = str(workspace / "data")
+        commands = (
+            ["eval", "--data", data, "--ckpt", str(ckpt)],
+            ["train", "--data", data, "--out", str(tmp_path / "r"), "--resume", str(ckpt)],
+        )
+        for argv in commands:
+            assert run([*argv, *DESK]) == cli.EXIT_DATA, argv[0]
+            out, err = capsys.readouterr()
+            assert "nan" not in out
+            assert "[data]" in err and "non-finite" in err and "Traceback" not in err
+            for key in ("'head.bias'", "'optim.m.head.bias'", "'optim.v.head.bias'"):
+                assert key in err
+
     def test_infer_writes_parseable_outputs(self, workspace, tmp_path):
         out = tmp_path / "pred.crt1"
         assert (
@@ -170,20 +189,17 @@ class TestTrainEvalInfer:
         assert outputs[0]._parents == () and not outputs[0].requires_grad
 
     def test_numeric_failure_exit_code(self, workspace, tmp_path):
-        # Poison a checkpoint and resume from it: the first loss is NaN.
-        src = workspace / "run" / "checkpoint.crt1a"
-        entries = read_archive(src)
-        entries["head.weight"] = np.full_like(entries["head.weight"], np.nan)
-        bad = tmp_path / "bad.crt1a"
-        write_archive(bad, entries)
+        # initial_lr = 1e39 is a finite Python float, but the first update
+        # overflows float32. (A NaN checkpoint no longer gets this far: it is
+        # a data error, see test_non_finite_checkpoint_is_data_error.)
         code = run(
             [
-                "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "r"),
-                "--resume", str(bad), *DESK,
-                "--set", "train.epochs=4", "--set", "train.batch=1",
+                "train", "--data", str(workspace / "data"), "--out", str(tmp_path / "r"), *DESK,
+                "--set", "train.epochs=4", "--set", "train.batch=1", "--set", "train.initial_lr=1e39",
             ]
         )
         assert code == cli.EXIT_NUMERIC
+        assert not (tmp_path / "r" / "checkpoint.crt1a").exists()
 
 
 class TestAblateAndParams:

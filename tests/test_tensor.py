@@ -230,6 +230,82 @@ class TestConv2d:
         assert np.array_equal(a, b)
 
 
+class TestGeluInputConv:
+    """conv2d(x, ..., gelu_input=True) is conv2d(gelu(x), ...) as one node that keeps only x."""
+
+    # dense 3x3 padded, grouped, depthwise 7x7, 1x1 without bias
+    @pytest.mark.parametrize(
+        "k,padding,groups,has_bias",
+        [(3, 1, 1, True), (3, 1, 2, True), (7, 3, 4, True), (1, 0, 1, False)],
+        ids=["dense3x3", "grouped3x3", "depthwise7x7", "1x1_no_bias"],
+    )
+    def test_gradcheck_input_weight_bias(self, k, padding, groups, has_bias):
+        rng = np.random.default_rng(17)
+        cin = cout = 4
+        x = Tensor(rng.normal(size=(2, cin, 6, 6)), dtype=F64)
+        w = Tensor(rng.normal(size=(cout, cin // groups, k, k)), dtype=F64)
+        b = Tensor(rng.normal(size=(cout,)), dtype=F64) if has_bias else None
+        c = Tensor(rng.normal(size=(2, cout, 6 + 2 * padding - k + 1, 6 + 2 * padding - k + 1)), dtype=F64)
+
+        def loss(x, w, b):
+            return tsum(mul(conv2d(x, w, b, padding=padding, groups=groups, gelu_input=True), c))
+
+        assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-6
+        assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
+        if has_bias:
+            assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "wshape,padding,groups,has_bias",
+        [((3, 2, 1, 3), 1, 1, True), ((2, 1, 3, 3), 1, 2, True), ((3, 2, 1, 1), 0, 1, False)],
+        ids=["dense1x3", "depthwise3x3", "1x1_no_bias"],
+    )
+    def test_matches_conv_of_gelu_bytewise(self, wshape, padding, groups, has_bias, dtype):
+        # The grid's saturated and cube-overflow values overflow the products; both sides must agree anyway.
+        rng = np.random.default_rng(18)
+        x_data = np.stack([GELU_GRID, GELU_GRID[::-1]]).reshape(1, 2, 1, -1).astype(np.float32).astype(dtype)
+        w_data = rng.normal(size=wshape).astype(dtype)
+        b_data = rng.normal(size=wshape[:1]).astype(dtype)
+
+        def run(fused):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True) if has_bias else None
+            with np.errstate(over="ignore", invalid="ignore"):
+                if fused:
+                    out = conv2d(x, w, b, padding=padding, groups=groups, gelu_input=True)
+                else:
+                    out = conv2d(gelu(x), w, b, padding=padding, groups=groups)
+                cot = np.random.default_rng(19).uniform(0.5, 1.5, out.shape).astype(dtype)
+                tsum(mul(out, Tensor(cot))).backward()
+            return [out.data, x.grad, w.grad] + ([b.grad] if has_bias else [])
+
+        for a, b in zip(run(True), run(False)):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_keeps_only_its_output(self):
+        # gelu(x) is rebuilt in backward from x, the producing op's output, so
+        # the node adds only its own output to the graph and keeps no array.
+        rng = np.random.default_rng(20)
+        x, w, b = (
+            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for shape in ((1, 64, 32, 32), (64, 1, 7, 7), (64,))
+        )
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = conv2d(x, w, b, padding=3, groups=64, gelu_input=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert kept < 1.5 * out.data.nbytes
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(c, np.ndarray) for c in cells)
+
+
 class TestPooling:
     def test_avg_window_oracle(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), dtype=F64)
@@ -570,8 +646,9 @@ def _value_and_grad(op, data, cot, **kwargs):
 
 
 class TestInPlaceParity:
-    """gelu and softmax must give the reference's bytes: the in-place rewrite
-    keeps every operation and its order, so not one rounding may move."""
+    """gelu, softmax and the GELU-input conv must give the reference's bytes:
+    the in-place rewrite and the recompute keep every operation and its
+    order, so not one rounding may move."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -624,15 +701,22 @@ class TestInPlaceParity:
 
             return wrapper
 
+        def conv2d_of_stored_gelu(x, weight, bias=None, padding=0, groups=1, gelu_input=False):
+            if gelu_input:
+                calls.append("conv2d_of_stored_gelu")
+                x = gelu_stored_tanh(x)
+            return conv2d(x, weight, bias, padding, groups)
+
         for name in model.ABLATION_VARIANTS:
             got = run(name)
             with monkeypatch.context() as patch:
                 for module in (blocks, model):
                     patch.setattr(module, "gelu", counted(gelu_stored_tanh))
                 patch.setattr(blocks, "softmax", counted(softmax_out_of_place))
+                patch.setattr(blocks, "conv2d", conv2d_of_stored_gelu)
                 want = run(name)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype == dtype, name
                 assert a.tobytes() == b.tobytes(), name
-        assert {"gelu_stored_tanh", "softmax_out_of_place"} <= set(calls)
+        assert {"gelu_stored_tanh", "softmax_out_of_place", "conv2d_of_stored_gelu"} <= set(calls)

@@ -446,6 +446,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="optim.step must be"):
             load_checkpoint(path, cfg)
 
+    def test_non_finite_entries_are_format_error(self, tmp_path):
+        # Such a checkpoint used to load, and evaluation then reported nan for every metric.
+        cfg, path, entries = self._saved_entries(tmp_path)
+        for key, value in (("head.bias", np.nan), ("optim.m.head.weight", np.inf), ("optim.v.shallow.bias", -np.inf)):
+            entries[key] = entries[key].copy()
+            entries[key].flat[-1] = value
+        write_archive(path, entries)
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_checkpoint(path, cfg)
+        message = str(err.value)
+        for key in ("'head.bias'", "'optim.m.head.weight'", "'optim.v.shallow.bias'"):
+            assert key in message
+        assert "'head.weight'" not in message and "'optim.m.head.bias'" not in message
+
     def test_old_format_checkpoint_is_format_error(self, tmp_path):
         # Before optim.step, a checkpoint kept the step and five settings in optim.meta.
         cfg, path, entries = self._saved_entries(tmp_path)
