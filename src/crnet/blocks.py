@@ -5,9 +5,9 @@ mapping from stable local path strings (e.g. "branchA.conv0.weight") to
 tensors. The companion ``*_spec`` functions return the expected key ->
 shape layout, which doubles as the initializer schema and the
 checkpoint-validation contract. The spec is the only place a layout is
-stated: forwards read kernel sizes and channel widths from the weights
-and take only the choices the weights cannot show (heads, window, pool
-kind, branch split, depthwise kernel mode).
+stated: forwards read kernel sizes, channel widths and conv groups from
+the weights and take only the choices the weights cannot show (heads,
+window, pool kind, branch split, depthwise kernel mode).
 
 Blocks with a skip path (attention, multi-branch, channel-wise FFN,
 enhancement block) reduce to the identity when their weights are zero;
@@ -71,11 +71,10 @@ def _conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
     return {"weight": (cout, cin, k, k), "bias": (cout,)}
 
 
-def conv(x: Tensor, params: Params, key: str, groups: int = 1, gelu_input: bool = False) -> Tensor:
-    """Apply layer ``key`` of params, to gelu(x) with gelu_input; the (k - 1) // 2
-    zero padding of its k x k kernel keeps the spatial extents."""
-    weight = params[f"{key}.weight"]
-    return conv2d(x, weight, params[f"{key}.bias"], (weight.shape[-1] - 1) // 2, groups, gelu_input)
+def conv(x: Tensor, params: Params, key: str, gelu_input: bool = False) -> Tensor:
+    """Apply conv layer ``key`` of params, to gelu(x) with gelu_input; its weight
+    sets the kernel and the groups, and the output keeps x's extents."""
+    return conv2d(x, params[f"{key}.weight"], params[f"{key}.bias"], gelu_input)
 
 
 # -- frequency separation ----------------------------------------------------
@@ -97,15 +96,8 @@ def frequency_separate(x: Tensor, pool_kind: str) -> Tuple[Tensor, Tensor]:
 
     Returns (low, high); high + upsample(low) reproduces x up to float rounding.
     """
-    if x.ndim != 4:
-        raise ValueError(f"frequency_separate: input must be 4-d, got {x.shape}")
-    _, _, height, width = x.shape
-    if height % 2 != 0 or width % 2 != 0:
-        raise ValueError(
-            f"frequency_separate: spatial extents {height}x{width} must be even (caller pads)"
-        )
     low = pool2x2(x, pool_kind)
-    high = sub(x, bilinear_upsample(low, height, width))
+    high = sub(x, bilinear_upsample(low))
     return low, high
 
 
@@ -168,9 +160,9 @@ MBB_TOTAL_CONVS = 4
 
 
 def multi_branch_spec(c: int, split: Tuple[int, int]) -> ParamSpec:
+    if len(split) != 2 or min(split) < 0 or sum(split) != MBB_TOTAL_CONVS:
+        raise ValueError(f"multi_branch_spec: split {split} must be two counts >= 0 that sum to {MBB_TOTAL_CONVS}")
     n_a, n_b = split
-    if n_a + n_b != MBB_TOTAL_CONVS:
-        raise ValueError(f"multi_branch_spec: split {split} must sum to {MBB_TOTAL_CONVS}")
     spec: ParamSpec = {}
     for j in range(n_a):
         spec.update(prefixed(_conv_spec(c, c, 3), f"branchA.conv{j}."))
@@ -233,20 +225,16 @@ def freq_fuse(high: Tensor, low: Tensor, params: Params) -> Tensor:
     Upsample low, concatenate onto high, then 3x3 conv -> channel
     attention -> 1x1 conv.
     """
-    _, _, h, w = high.shape
-    if low.shape[2] * 2 != h or low.shape[3] * 2 != w:
+    if low.shape[2] * 2 != high.shape[2] or low.shape[3] * 2 != high.shape[3]:
         raise ValueError(
             f"freq_fuse: low extents {low.shape[2:]} must be exactly half of high {high.shape[2:]}"
         )
-    merged = concat([bilinear_upsample(low, h, w), high], axis=1)
+    merged = concat([bilinear_upsample(low), high], axis=1)
     fused = channel_attention(conv(merged, params, "conv3"), scoped(params, "ca."))
     return conv(fused, params, "conv1")
 
 
 # -- convolutional feed-forward -------------------------------------------------
-
-FFN_MODES = ("inverted", "normal_bottleneck", "flat")
-
 
 def conv_ffn_spec(c: int, mode: str, expansion: int) -> ParamSpec:
     if expansion < 1:
@@ -303,7 +291,7 @@ def conv_enhancement_block(x: Tensor, params: Params, kernel_mode: str) -> Tenso
     """
     h = conv(x, params, "pw_in")
     for j in range(len(CEB_DW_KERNELS[kernel_mode])):
-        h = conv(h, params, f"dw{j}", groups=x.shape[1], gelu_input=True)
+        h = conv(h, params, f"dw{j}", gelu_input=True)
     h = gelu(conv(h, params, "pw_out", gelu_input=True))
     h = conv_ffn(h, scoped(params, "ffn."))
     return h + x

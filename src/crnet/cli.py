@@ -207,13 +207,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"crnet: error: [usage] {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError) as exc:
-        print(f"crnet: error: [data] {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as exc:
         print(f"crnet: error: [numeric] {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"crnet: error: [data] {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -68,31 +68,17 @@ class CRNetConfig:
         too_small = [name for name in counts if getattr(self, name) < 1]
         if too_small:
             raise ValueError(f"config: {', '.join(too_small)} must be >= 1")
-        split = self.mbb_split
-        if len(split) != 2 or min(split) < 0 or sum(split) != blocks.MBB_TOTAL_CONVS:
-            raise ValueError(f"config: mbb_split {split} must be two counts >= 0 that sum to {blocks.MBB_TOTAL_CONVS}")
         if self.base_channels % self.attn_heads != 0:
             raise ValueError(
                 f"config: base_channels {self.base_channels} not divisible by attn_heads {self.attn_heads}"
-            )
-        if self.base_channels % self.ca_reduction != 0:
-            raise ValueError(
-                f"config: base_channels {self.base_channels} not divisible by ca_reduction {self.ca_reduction}"
             )
         if self.pool_kind not in blocks.POOL_KINDS:
             raise ValueError(f"config: pool_kind must be avg or max, got {self.pool_kind!r}")
         if self.fusion_mode not in ("joint", "recurrent"):
             raise ValueError(f"config: fusion_mode must be joint or recurrent, got {self.fusion_mode!r}")
-        if self.ffn_mode not in blocks.FFN_MODES:
-            raise ValueError(f"config: unknown ffn_mode {self.ffn_mode!r}")
-        if self.ceb_kernel_mode not in blocks.CEB_DW_KERNELS:
-            raise ValueError(f"config: unknown ceb_kernel_mode {self.ceb_kernel_mode!r}")
-        if self.ffn_mode == "normal_bottleneck" and self.base_channels % self.ffn_expansion != 0:
-            raise ValueError(
-                f"config: base_channels {self.base_channels} not divisible by ffn_expansion {self.ffn_expansion}"
-            )
         if not (0 < self.mu < math.inf and 0 < self.gamma < math.inf):
             raise ValueError("config: mu and gamma must be positive and finite")
+        _hfem_spec(self)  # the block specs check the branch split, FFN and kernel modes and widths
 
 
 # Read noise can swing a raw value slightly below the black point; frames
@@ -303,8 +289,9 @@ def param_spec(cfg: CRNetConfig) -> ParamSpec:
     spec["shallow.bias"] = (c,)
     spec["reduce.weight"] = (c, NUM_FRAMES * c, 1, 1)
     spec["reduce.bias"] = (c,)
+    hfem = _hfem_spec(cfg)
     for i in range(cfg.n_hfem):
-        spec.update(prefixed(_hfem_spec(cfg), f"hfem{i}."))
+        spec.update(prefixed(hfem, f"hfem{i}."))
     spec["ref_proc.weight"] = (c, c, 3, 3)
     spec["ref_proc.bias"] = (c,)
     spec["fusion.conv0.weight"] = (c, (cfg.n_hfem + 1) * c, 3, 3)

@@ -54,11 +54,7 @@ def registry() -> Dict[str, object]:
         for f in dataclasses.fields(cls):
             if (prefix, f.name) in _EXCLUDED:
                 continue
-            if f.default is not dataclasses.MISSING:
-                default = f.default
-            else:
-                default = f.default_factory()  # type: ignore[misc]
-            reg[f"{prefix}.{f.name}"] = default
+            reg[f"{prefix}.{f.name}"] = f.default
     return reg
 
 

@@ -237,6 +237,11 @@ def sample_from_entries(entries: dict, context: str = "<archive>") -> SampleReco
     return SampleRecord(stack=stack, ground_truth=entries["ground_truth"].astype(np.float32))
 
 
+def _is_plain_name(sid: str) -> bool:
+    """True when sid names a file directly inside a directory, so no sample id leaves it."""
+    return Path(sid).name == sid
+
+
 def write_dataset(samples: Sequence[SampleRecord], directory) -> List[str]:
     """Write one archive per sample plus the id index; returns the ids.
 
@@ -252,7 +257,7 @@ def write_dataset(samples: Sequence[SampleRecord], directory) -> List[str]:
         write_archive(directory / f"{sid}.crt1a", sample_to_entries(sample))
     index.write_text("".join(f"{sid}\n" for sid in ids), encoding="utf-8")
     for sid in set(previous) - set(ids):
-        if Path(sid).name == sid:  # never leave the directory
+        if _is_plain_name(sid):
             (directory / f"{sid}.crt1a").unlink(missing_ok=True)
     return ids
 
@@ -267,6 +272,8 @@ def read_dataset(directory) -> List[Tuple[str, SampleRecord]]:
         sid = sid.strip()
         if not sid:
             continue
+        if not _is_plain_name(sid):
+            raise FormatError(f"{index}: sample id {sid!r} is not a plain file name")
         path = directory / f"{sid}.crt1a"
         if not path.exists():
             raise FormatError(f"{path}: archive listed in index is missing")

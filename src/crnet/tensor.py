@@ -1,7 +1,7 @@
 """Dense N-d tensors with reverse-mode automatic differentiation.
 
 Every differentiable primitive the network is built from lives here:
-convolution, pooling, bilinear upsampling, elementwise math, softmax,
+convolution, pooling, bilinear 2x upsampling, elementwise math, softmax,
 matmul, and concatenation. Tensors record their provenance when any
 input requires a gradient; ``backward()`` on a scalar result walks
 the graph in reverse topological order, adds gradients into every
@@ -105,22 +105,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self):
         return tsum(self)
@@ -130,9 +118,6 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def permute(self, axes):
-        return permute(self, axes)
 
 
 def _toposort(root: Tensor) -> list:
@@ -449,69 +434,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution -----------------------------------------------------------
 
 
-def _taps(a: np.ndarray, groups: int, kh: int, kw: int, ph: int, pw: int):
-    """Yield (i, j, view) per kernel tap of a [B, Cin, H, W] zero-padded by (ph, pw) per side.
+def _taps(a: np.ndarray, groups: int, kh: int, kw: int):
+    """Yield (i, j, view) per kernel tap of a [B, Cin, H, W] zero-padded by (kh // 2, kw // 2) per side.
 
-    A negative amount crops. Output pixel (y, x) sits at y*Wp + x of the flat padded
-    input and tap (i, j) reads from i*Wp + j on, so view is [B, groups, Cin/groups, H'*Wp]
-    with Wp - W' junk columns per row. One more zero row keeps the last tap in range.
+    Output pixel (y, x) sits at y*Wp + x of the flat padded input and tap (i, j) reads
+    from i*Wp + j on, so view is [B, groups, Cin/groups, H*Wp] with Wp - W junk columns
+    per row. One more zero row keeps the last tap in range.
     """
-    ch, cw = max(-ph, 0), max(-pw, 0)
-    a = a[:, :, ch : a.shape[2] - ch, cw : a.shape[3] - cw]
-    ph, pw = max(ph, 0), max(pw, 0)
     batch, cin, height, width = a.shape
-    hp, wp = height + 2 * ph, width + 2 * pw
+    ph, pw = kh // 2, kw // 2
+    wp = width + 2 * pw
     flat = np.ascontiguousarray(a)
-    if (ph, pw, kw) != (0, 0, 1):
-        flat = np.zeros((batch, cin, hp + 1, wp), a.dtype)
+    if (kh, kw) != (1, 1):
+        flat = np.zeros((batch, cin, height + 2 * ph + 1, wp), a.dtype)
         flat[:, :, ph : ph + height, pw : pw + width] = a
     flat = flat.reshape(batch, groups, cin // groups, -1)
-    size = (hp - kh + 1) * wp
+    size = height * wp
     for i in range(kh):
         for j in range(kw):
             yield i, j, flat[..., i * wp + j : i * wp + j + size]
 
 
-def _correlate(a: np.ndarray, w: np.ndarray, groups: int, ph: int, pw: int) -> np.ndarray:
-    """Stride-1 grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
+def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1, same-padded grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
 
-    a is zero-padded by (ph, pw) per side first (a negative amount crops). Each tap adds its
-    weights times its view from _taps (kn2row): a matmul, or a broadcast multiply when Cin/groups == 1.
+    Each tap adds its weights times its view from _taps (kn2row): a matmul, or a broadcast
+    multiply when Cin/groups == 1.
     """
-    batch, _, height, width = a.shape
+    batch, cin, height, width = a.shape
     cout, cg, kh, kw = w.shape
-    out_h, wp = height + 2 * ph - kh + 1, width + 2 * pw
+    groups, wp = cin // cg, width + kw - 1
     # [kh, kw, groups, Cout/groups, Cg], contiguous per tap so matmul stays on BLAS
     wt = np.ascontiguousarray(w.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2))
-    out = np.empty((batch, groups, cout // groups, out_h * wp), a.dtype)
+    out = np.empty((batch, groups, cout // groups, height * wp), a.dtype)
     part = np.empty_like(out)
     product = np.multiply if cg == 1 else np.matmul
-    taps = _taps(a, groups, kh, kw, ph, pw)
+    taps = _taps(a, groups, kh, kw)
     product(wt[0, 0], next(taps)[2], out=out)
     for i, j, view in taps:
         product(wt[i, j], view, out=part)
         out += part
-    return np.ascontiguousarray(out.reshape(batch, cout, out_h, wp)[..., : wp - kw + 1])
+    return np.ascontiguousarray(out.reshape(batch, cout, height, wp)[..., :width])
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    padding: int = 0,
-    groups: int = 1,
-    gelu_input: bool = False,
-) -> Tensor:
-    """2-d cross-correlation over [B, Cin, H, W] with grouped kernels.
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input: bool = False) -> Tensor:
+    """Stride-1 2-d cross-correlation over [B, Cin, H, W] that keeps H and W.
 
-    weight is [Cout, Cin/groups, kh, kw]; groups == Cin gives the
-    depthwise case. The stride is 1, so H' = H + 2*padding - kh + 1. Each
+    The weight decides the geometry: it is [Cout, Cin/groups, kh, kw] with
+    odd kh and kw, the input is zero-padded by (kh // 2, kw // 2) per side,
+    and groups = Cin / weight.shape[1] (Cin gives the depthwise case). Each
     kernel tap is one product over a shifted view of the flat zero-padded
     input (kn2row), so no kh*kw-fold im2col columns are made or kept:
     backward re-pads x and sums, per tap, the output gradient against the
-    same views. The input gradient is the output gradient, padded by
-    k-1-padding, correlated with the kernel flipped in space and
-    transposed within each group.
+    same views. The input gradient is the output gradient correlated with
+    the kernel flipped in space and transposed within each group.
 
     With gelu_input the node convolves gelu(x) and still keeps only x:
     backward rebuilds gelu(x) bit for bit from one recomputed tanh for the
@@ -527,19 +503,16 @@ def conv2d(
     cout, cg, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if cin % groups != 0 or cout % groups != 0:
-        raise ValueError(f"conv2d: channel axes not divisible by groups={groups} (Cin={cin}, Cout={cout})")
-    if cg != cin // groups:
-        raise ValueError(f"conv2d: weight channel axis is {cg}, expected Cin/groups = {cin // groups}")
+    groups = cin // cg if cg else 0
+    if groups == 0 or groups * cg != cin or cout % groups != 0:
+        raise ValueError(
+            f"conv2d: weight channel axis {cg} must split Cin={cin} into groups that divide Cout={cout}"
+        )
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
-    out_h = height + 2 * padding - kh + 1
-    out_w = width + 2 * padding - kw + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(f"conv2d: kernel {kh}x{kw} with padding {padding} exceeds input {height}x{width}")
 
     a = _gelu_forward(x.data, _gelu_tanh(x.data)) if gelu_input else x.data
-    out = _correlate(a, weight.data, groups, padding, padding)
+    out = _correlate(a, weight.data)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
@@ -550,17 +523,17 @@ def conv2d(
             # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
             wt = weight.data.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
             wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
-            gx = _correlate(g, wt, groups, kh - 1 - padding, kw - 1 - padding)
+            gx = _correlate(g, wt)
             x._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
             del gx
         if gelu_input:
             a = _gelu_forward(a, t)  # the forward's gelu(x); after _gelu_vjp, which needs the bare tanh
         # g in the taps' row layout, zeros in the junk columns
-        gp = np.zeros((batch, cout, out_h, width + 2 * padding), g.dtype)
-        gp[..., :out_w] = g
+        gp = np.zeros((batch, cout, height, width + kw - 1), g.dtype)
+        gp[..., :width] = g
         gp = gp.reshape(batch, groups, cout // groups, -1)
         dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
-        for i, j, view in _taps(a, groups, kh, kw, padding, padding):
+        for i, j, view in _taps(a, groups, kh, kw):
             dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
         weight._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(weight.shape))
         if bias is not None:
@@ -577,7 +550,7 @@ def _check_pool_args(x: Tensor) -> None:
         raise ValueError(f"pool: input must be 4-d [B,C,H,W], got {x.shape}")
     _, _, height, width = x.shape
     if height % 2 != 0 or width % 2 != 0:
-        raise ValueError(f"pool: spatial extents {height}x{width} not divisible by 2")
+        raise ValueError(f"pool: spatial extents {height}x{width} must be even (divisible by 2)")
 
 
 def avg_pool2d(x: Tensor) -> Tensor:
@@ -657,8 +630,8 @@ def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
     return mat
 
 
-def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of [B, C, H, W] to (out_h, out_w).
+def bilinear_upsample(x: Tensor) -> Tensor:
+    """Bilinear 2x upsampling of [B, C, H, W] to [B, C, 2H, 2W].
 
     Uses the align-corners=false convention with edge clamping. The
     forward pass is lerp-form (lo + frac * (hi - lo)) so constant inputs
@@ -668,12 +641,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if x.ndim != 4:
         raise ValueError(f"bilinear_upsample: input must be 4-d, got {x.shape}")
     _, _, height, width = x.shape
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(f"bilinear_upsample: target {out_h}x{out_w} must be positive")
-    if out_h < height or out_w < width:
-        raise ValueError(
-            f"bilinear_upsample: target {out_h}x{out_w} smaller than input {height}x{width}"
-        )
+    out_h, out_w = 2 * height, 2 * width
     dtype = x.data.dtype
     lo_r, hi_r, frac_r = _interp_axis(out_h, height)
     lo_c, hi_c, frac_c = _interp_axis(out_w, width)

@@ -66,7 +66,7 @@ class TestFrequencySeparate:
     def test_reconstruction_identity(self, pool_kind):
         x = rand((2, 3, 8, 8), seed=1)
         low, high = frequency_separate(x, pool_kind)
-        recon = high + bilinear_upsample(low, 8, 8)
+        recon = high + bilinear_upsample(low)
         assert np.abs(recon.data - x.data).max() <= 1e-6
 
     def test_impulse_matches_primitive_composition(self):
@@ -75,7 +75,7 @@ class TestFrequencySeparate:
         xt = Tensor(x, dtype=F64)
         low, high = frequency_separate(xt, "avg")
         want_low = avg_pool2d(xt)
-        want_high = xt.data - bilinear_upsample(want_low, 8, 8).data
+        want_high = xt.data - bilinear_upsample(want_low).data
         assert np.array_equal(low.data, want_low.data)
         assert np.array_equal(high.data, want_high)
 
@@ -88,7 +88,7 @@ class TestFrequencySeparate:
         for trial in range(50):
             x = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
             low, high = frequency_separate(x, "avg")
-            recon = high + bilinear_upsample(low, 6, 6)
+            recon = high + bilinear_upsample(low)
             assert np.abs(recon.data - x.data).max() <= 1e-6, f"trial {trial}"
 
 
@@ -192,7 +192,7 @@ class TestMultiBranchBlock:
         out = multi_branch_block(x, params, (4, 0))
         h = x
         for j in range(4):
-            h = gelu(conv2d(h, params[f"branchA.conv{j}.weight"], params[f"branchA.conv{j}.bias"], padding=1))
+            h = gelu(conv2d(h, params[f"branchA.conv{j}.weight"], params[f"branchA.conv{j}.bias"]))
         assert np.array_equal(out.data, (h + x).data)
 
     def test_3_1_matches_primitive_composition(self):
@@ -202,8 +202,8 @@ class TestMultiBranchBlock:
         out = multi_branch_block(x, params, (3, 1))
         a = x
         for j in range(3):
-            a = gelu(conv2d(a, params[f"branchA.conv{j}.weight"], params[f"branchA.conv{j}.bias"], padding=1))
-        b = gelu(conv2d(x, params["branchB.conv0.weight"], params["branchB.conv0.bias"], padding=1))
+            a = gelu(conv2d(a, params[f"branchA.conv{j}.weight"], params[f"branchA.conv{j}.bias"]))
+        b = gelu(conv2d(x, params["branchB.conv0.weight"], params["branchB.conv0.bias"]))
         assert np.array_equal(out.data, (a + b + x).data)
 
     def test_delta_kernel_composition(self):
@@ -306,8 +306,8 @@ class TestFreqFuse:
         high = rand((1, 4, 8, 8), seed=31)
         low = rand((1, 4, 4, 4), seed=32)
         out = freq_fuse(high, low, params)
-        merged = concat([bilinear_upsample(low, 8, 8), high], axis=1)
-        y = conv2d(merged, params["conv3.weight"], params["conv3.bias"], padding=1)
+        merged = concat([bilinear_upsample(low), high], axis=1)
+        y = conv2d(merged, params["conv3.weight"], params["conv3.bias"])
         y = channel_attention(y, scoped(params, "ca."))
         y = conv2d(y, params["conv1.weight"], params["conv1.bias"])
         assert np.array_equal(out.data, y.data)
@@ -372,7 +372,7 @@ class TestConvEnhancementBlock:
         x = rand((1, 4, 8, 8), seed=45)
         out = conv_enhancement_block(x, params, "dw7")
         h = gelu(conv2d(x, params["pw_in.weight"], params["pw_in.bias"]))
-        h = gelu(conv2d(h, params["dw0.weight"], params["dw0.bias"], padding=3, groups=4))
+        h = gelu(conv2d(h, params["dw0.weight"], params["dw0.bias"]))
         h = gelu(conv2d(h, params["pw_out.weight"], params["pw_out.bias"]))
         h = conv_ffn(h, scoped(params, "ffn."))
         assert np.array_equal(out.data, (h + x).data)

@@ -155,6 +155,19 @@ class TestTrainEvalInfer:
             for key in ("'head.bias'", "'optim.m.head.bias'", "'optim.v.head.bias'"):
                 assert key in err
 
+    def test_unusable_paths_are_data_errors(self, workspace, tmp_path, capsys):
+        # A file where a directory belongs, and directories where files belong.
+        (tmp_path / "file").write_text("")
+        data = str(workspace / "data")
+        commands = (
+            ["gen", "--out", str(tmp_path / "file"), "--count", "1"],
+            ["eval", "--data", data, "--ckpt", str(tmp_path)],
+            ["train", "--data", data, "--out", str(tmp_path / "r"), "--config", str(tmp_path)],
+        )
+        for argv in commands:
+            assert run([*argv, *DESK]) == cli.EXIT_DATA, argv[0]
+            assert "[data]" in capsys.readouterr().err, argv[0]
+
     def test_infer_writes_parseable_outputs(self, workspace, tmp_path):
         out = tmp_path / "pred.crt1"
         assert (
@@ -242,6 +255,9 @@ class TestConfigSurface:
             "model.attn_window=0",
             "model.mbb_split=5,-1",
             "model.mbb_split=4",
+            "model.ffn_mode=bogus",
+            "model.ceb_kernel_mode=dw9",
+            "model.ca_reduction=3",
             "model.mu=nan",
             "model.gamma=inf",
             "train.initial_lr=nan",
@@ -265,6 +281,11 @@ class TestConfigSurface:
     def test_unknown_key_is_usage_error(self, pair):
         # An unknown key and a value its section's validate() rejects are both usage errors.
         assert run(["params", "--set", pair]) == cli.EXIT_USAGE
+
+    def test_non_divisible_normal_bottleneck_is_usage_error(self):
+        # 64 channels do not divide by an expansion of 3.
+        argv = ["params", "--set", "model.ffn_mode=normal_bottleneck", "--set", "model.ffn_expansion=3"]
+        assert run(argv) == cli.EXIT_USAGE
 
     def test_config_file_layering(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

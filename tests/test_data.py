@@ -162,6 +162,17 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="missing"):
             read_dataset(tmp_path)
 
+    def test_ids_never_leave_the_directory(self, tmp_path):
+        samples = [generate_sample(SceneSpec(seed=0), DegradeSpec())]
+        write_dataset(samples, tmp_path / "other")
+        write_dataset(samples, tmp_path / "data")
+        (tmp_path / "data" / "index.txt").write_text("../other/sample00000\n")
+        with pytest.raises(FormatError, match="plain file name"):
+            read_dataset(tmp_path / "data")
+        # Replacing the dataset deletes only archives inside its own directory.
+        write_dataset(samples, tmp_path / "data")
+        assert (tmp_path / "other" / "sample00000.crt1a").exists()
+
     def test_byte_determinism_of_written_files(self, tmp_path):
         samples = [generate_sample(SceneSpec(seed=3), DegradeSpec())]
         write_dataset(samples, tmp_path / "a")

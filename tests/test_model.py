@@ -241,7 +241,7 @@ class TestForward:
         feats = []
         for stack in stacks:
             frames = Tensor(preprocess(stack, cfg.gamma))
-            feats.append(conv2d(frames, params["shallow.weight"], params["shallow.bias"], padding=1).data)
+            feats.append(conv2d(frames, params["shallow.weight"], params["shallow.bias"]).data)
         flows = [[None] + [estimate_flow(f[0], f[i]) for i in range(1, 5)] for f in feats]
         assert any(np.any(flow != 0) for sample in flows for flow in sample[1:])
         estimated = forward_batch(stacks, params, cfg).data

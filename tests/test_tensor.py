@@ -44,12 +44,13 @@ def rand(shape, seed=0, dtype=F64):
 
 
 def conv2d_loops(x, w, b, padding, groups):
-    """Direct-summation stride-1 convolution oracle (independent of im2col)."""
+    """Direct-summation stride-1 convolution oracle (independent of im2col); padding is (ph, pw)."""
     bs, cin, h, width = x.shape
     cout, cg, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = h + 2 * padding - kh + 1
-    ow = width + 2 * padding - kw + 1
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = h + 2 * ph - kh + 1
+    ow = width + 2 * pw - kw + 1
     out = np.zeros((bs, cout, oh, ow), dtype=x.dtype)
     cpg_out = cout // groups
     for n in range(bs):
@@ -73,7 +74,7 @@ class TestConv2d:
     def test_all_ones_hand_oracle(self):
         x = Tensor(np.ones((1, 1, 3, 3)), dtype=F64)
         w = Tensor(np.ones((1, 1, 3, 3)), dtype=F64)
-        out = conv2d(x, w, padding=1).data[0, 0]
+        out = conv2d(x, w).data[0, 0]
         assert out[1, 1] == 9.0
         assert out[0, 0] == 4.0 and out[0, 2] == 4.0 and out[2, 0] == 4.0 and out[2, 2] == 4.0
         assert out[0, 1] == 6.0
@@ -90,35 +91,32 @@ class TestConv2d:
         x = rand((1, 4, 6, 6), seed=2)
         delta = np.zeros((4, 1, 3, 3))
         delta[:, 0, 1, 1] = 1.0
-        out = conv2d(x, Tensor(delta, dtype=F64), padding=1, groups=4)
+        out = conv2d(x, Tensor(delta, dtype=F64))
         assert np.allclose(out.data, x.data)
 
     @pytest.mark.parametrize(
-        "padding,groups,cout,kernel",
+        "groups,cout,kernel",
         [
-            pytest.param(1, 1, 4, (3, 3), id="1-1"),
-            pytest.param(0, 2, 4, (3, 3), id="0-2"),
-            pytest.param(2, 4, 4, (3, 3), id="2-4"),
-            pytest.param(1, 4, 8, (3, 3), id="depth-multiplier"),
-            pytest.param(1, 1, 4, (3, 5), id="3x5"),
-            pytest.param(4, 2, 4, (3, 3), id="padding-past-kernel"),
+            pytest.param(1, 4, (3, 3), id="1-1"),
+            pytest.param(4, 8, (3, 3), id="depth-multiplier"),
+            pytest.param(1, 4, (3, 5), id="3x5"),
         ],
     )
-    def test_matches_loop_oracle(self, padding, groups, cout, kernel):
+    def test_matches_loop_oracle(self, groups, cout, kernel):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 4, 6, 8))
         w = rng.normal(size=(cout, 4 // groups) + kernel)
         b = rng.normal(size=(cout,))
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding, groups=groups)
-        want = conv2d_loops(x, w, b, padding, groups)
-        assert got.shape == want.shape
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b))
+        want = conv2d_loops(x, w, b, (kernel[0] // 2, kernel[1] // 2), groups)
+        assert got.shape == want.shape == x.shape[:1] + (cout,) + x.shape[2:]
         assert np.allclose(got.data, want, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_same_padding_preserves_shape(self, k):
         x = rand((1, 2, 8, 8), seed=4)
         w = rand((2, 2, k, k), seed=5)
-        out = conv2d(x, w, padding=(k - 1) // 2)
+        out = conv2d(x, w)
         assert out.shape == x.shape
 
     def test_linearity(self):
@@ -127,38 +125,33 @@ class TestConv2d:
         y = Tensor(rng.normal(size=(1, 3, 6, 6)))
         w = Tensor(rng.normal(size=(2, 3, 3, 3)))
         a, b = 2.5, -1.25
-        lhs = conv2d(add(mul(x, a), mul(y, b)), w, padding=1)
-        rhs = add(mul(conv2d(x, w, padding=1), a), mul(conv2d(y, w, padding=1), b))
+        lhs = conv2d(add(mul(x, a), mul(y, b)), w)
+        rhs = add(mul(conv2d(x, w), a), mul(conv2d(y, w), b))
         assert np.allclose(lhs.data, rhs.data, atol=1e-5)
 
     def test_shape_errors_name_the_axis(self):
         x = rand((1, 3, 4, 4))
-        with pytest.raises(ValueError, match="groups"):
-            conv2d(x, rand((4, 3, 3, 3)), groups=2)
-        with pytest.raises(ValueError, match="channel axis"):
-            conv2d(x, rand((4, 2, 3, 3)))
+        # 2 does not split Cin=3, 0 and 4 give no groups, 1 gives 3 groups that do not divide Cout=4.
+        for cg in (2, 0, 4, 1):
+            with pytest.raises(ValueError, match="channel axis"):
+                conv2d(x, rand((4, cg, 3, 3)))
         with pytest.raises(ValueError, match="bias"):
-            conv2d(x, rand((4, 3, 3, 3)), bias=rand((3,)), padding=1)
+            conv2d(x, rand((4, 3, 3, 3)), bias=rand((3,)))
         with pytest.raises(ValueError, match="odd"):
             conv2d(x, rand((4, 3, 2, 2)))
 
-    # padding > k-1 (the last two rows) crops the output gradient instead of padding it.
-    @pytest.mark.parametrize(
-        "kh,kw,padding,groups",
-        [(3, 3, 1, 1), (1, 1, 0, 1), (7, 7, 3, 4), (3, 3, 0, 2), (3, 5, 1, 1), (1, 1, 1, 1), (3, 3, 3, 1)],
-    )
-    def test_gradcheck_input_weight_bias(self, kh, kw, padding, groups):
+    @pytest.mark.parametrize("kh,kw,groups", [(3, 3, 1), (1, 1, 1), (7, 7, 4), (3, 5, 1)])
+    def test_gradcheck_input_weight_bias(self, kh, kw, groups):
         rng = np.random.default_rng(7)
         cin = cout = 4
         w = Tensor(rng.normal(size=(cout, cin // groups, kh, kw)), dtype=F64)
         b = Tensor(rng.normal(size=(cout,)), dtype=F64)
         x = Tensor(rng.normal(size=(2, cin, 6, 6)), dtype=F64)
-        out_shape = conv2d(x, w, b, padding=padding, groups=groups).shape
         # A random cotangent, so a kernel flipped or transposed the wrong way shows.
-        c = Tensor(rng.normal(size=out_shape), dtype=F64)
+        c = Tensor(rng.normal(size=(2, cout, 6, 6)), dtype=F64)
 
         def loss(x, w, b):
-            return tsum(mul(conv2d(x, w, b, padding=padding, groups=groups), c))
+            return tsum(mul(conv2d(x, w, b), c))
 
         assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-6
         assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
@@ -169,8 +162,8 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 4, 5, 6)), dtype=F64)
         w = Tensor(rng.normal(size=(8, 1, 3, 3)), dtype=F64)
         c = Tensor(rng.normal(size=(2, 8, 5, 6)), dtype=F64)
-        assert finite_difference_check(lambda t: tsum(mul(conv2d(t, w, padding=1, groups=4), c)), x) < 1e-6
-        assert finite_difference_check(lambda t: tsum(mul(conv2d(x, t, padding=1, groups=4), c)), w) < 1e-6
+        assert finite_difference_check(lambda t: tsum(mul(conv2d(t, w), c)), x) < 1e-6
+        assert finite_difference_check(lambda t: tsum(mul(conv2d(x, t), c)), w) < 1e-6
 
     def test_depthwise_forward_keeps_no_columns(self):
         # An im2col conv keeps a kh*kw-fold copy of its input for backward
@@ -181,7 +174,7 @@ class TestConv2d:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            out = conv2d(x, w, padding=3, groups=16)
+            out = conv2d(x, w)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -206,7 +199,7 @@ class TestConv2d:
         def run(dtype, x_data, w_data, c_data):
             x = Tensor(x_data.astype(dtype), requires_grad=True)
             w = Tensor(w_data.astype(dtype), requires_grad=True)
-            out = conv2d(x, w, padding=3, groups=64)
+            out = conv2d(x, w)
             tsum(mul(out, Tensor(c_data.astype(dtype)))).backward()
             return [a.astype(F64) for a in (out.data, x.grad, w.grad)]
 
@@ -225,30 +218,30 @@ class TestConv2d:
     def test_deterministic(self):
         x = rand((2, 3, 8, 8), seed=8, dtype=np.float32)
         w = rand((4, 3, 3, 3), seed=9, dtype=np.float32)
-        a = conv2d(x, w, padding=1).data
-        b = conv2d(x, w, padding=1).data
+        a = conv2d(x, w).data
+        b = conv2d(x, w).data
         assert np.array_equal(a, b)
 
 
 class TestGeluInputConv:
     """conv2d(x, ..., gelu_input=True) is conv2d(gelu(x), ...) as one node that keeps only x."""
 
-    # dense 3x3 padded, grouped, depthwise 7x7, 1x1 without bias
+    # dense 3x3, grouped, depthwise 7x7, 1x1 without bias
     @pytest.mark.parametrize(
-        "k,padding,groups,has_bias",
-        [(3, 1, 1, True), (3, 1, 2, True), (7, 3, 4, True), (1, 0, 1, False)],
+        "k,groups,has_bias",
+        [(3, 1, True), (3, 2, True), (7, 4, True), (1, 1, False)],
         ids=["dense3x3", "grouped3x3", "depthwise7x7", "1x1_no_bias"],
     )
-    def test_gradcheck_input_weight_bias(self, k, padding, groups, has_bias):
+    def test_gradcheck_input_weight_bias(self, k, groups, has_bias):
         rng = np.random.default_rng(17)
         cin = cout = 4
         x = Tensor(rng.normal(size=(2, cin, 6, 6)), dtype=F64)
         w = Tensor(rng.normal(size=(cout, cin // groups, k, k)), dtype=F64)
         b = Tensor(rng.normal(size=(cout,)), dtype=F64) if has_bias else None
-        c = Tensor(rng.normal(size=(2, cout, 6 + 2 * padding - k + 1, 6 + 2 * padding - k + 1)), dtype=F64)
+        c = Tensor(rng.normal(size=(2, cout, 6, 6)), dtype=F64)
 
         def loss(x, w, b):
-            return tsum(mul(conv2d(x, w, b, padding=padding, groups=groups, gelu_input=True), c))
+            return tsum(mul(conv2d(x, w, b, gelu_input=True), c))
 
         assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-6
         assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
@@ -257,11 +250,11 @@ class TestGeluInputConv:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "wshape,padding,groups,has_bias",
-        [((3, 2, 1, 3), 1, 1, True), ((2, 1, 3, 3), 1, 2, True), ((3, 2, 1, 1), 0, 1, False)],
+        "wshape,has_bias",
+        [((3, 2, 1, 3), True), ((2, 1, 3, 3), True), ((3, 2, 1, 1), False)],
         ids=["dense1x3", "depthwise3x3", "1x1_no_bias"],
     )
-    def test_matches_conv_of_gelu_bytewise(self, wshape, padding, groups, has_bias, dtype):
+    def test_matches_conv_of_gelu_bytewise(self, wshape, has_bias, dtype):
         # The grid's saturated and cube-overflow values overflow the products; both sides must agree anyway.
         rng = np.random.default_rng(18)
         x_data = np.stack([GELU_GRID, GELU_GRID[::-1]]).reshape(1, 2, 1, -1).astype(np.float32).astype(dtype)
@@ -274,9 +267,9 @@ class TestGeluInputConv:
             b = Tensor(b_data, requires_grad=True) if has_bias else None
             with np.errstate(over="ignore", invalid="ignore"):
                 if fused:
-                    out = conv2d(x, w, b, padding=padding, groups=groups, gelu_input=True)
+                    out = conv2d(x, w, b, gelu_input=True)
                 else:
-                    out = conv2d(gelu(x), w, b, padding=padding, groups=groups)
+                    out = conv2d(gelu(x), w, b)
                 cot = np.random.default_rng(19).uniform(0.5, 1.5, out.shape).astype(dtype)
                 tsum(mul(out, Tensor(cot))).backward()
             return [out.data, x.grad, w.grad] + ([b.grad] if has_bias else [])
@@ -296,7 +289,7 @@ class TestGeluInputConv:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            out = conv2d(x, w, b, padding=3, groups=64, gelu_input=True)
+            out = conv2d(x, w, b, gelu_input=True)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -345,17 +338,17 @@ class TestPooling:
 class TestBilinearUpsample:
     def test_constant_exact(self):
         c = Tensor(np.full((1, 3, 2, 2), 0.1, dtype=np.float32))
-        out = bilinear_upsample(c, 5, 7)
-        assert np.array_equal(out.data, np.full((1, 3, 5, 7), np.float32(0.1)))
+        out = bilinear_upsample(c)
+        assert np.array_equal(out.data, np.full((1, 3, 4, 4), np.float32(0.1)))
 
     def test_single_pixel_replicates(self):
         v = Tensor(np.array([[[[3.25]]]]), dtype=F64)
-        out = bilinear_upsample(v, 2, 2)
+        out = bilinear_upsample(v)
         assert np.array_equal(out.data, np.full((1, 1, 2, 2), 3.25))
 
     def test_2x_against_sampling_formula(self):
         x = np.array([[0.0, 1.0], [2.0, 3.0]])
-        out = bilinear_upsample(Tensor(x[None, None], dtype=F64), 4, 4).data[0, 0]
+        out = bilinear_upsample(Tensor(x[None, None], dtype=F64)).data[0, 0]
 
         def sample(oy, ox):
             sy = np.clip((oy + 0.5) * 0.5 - 0.5, 0, 1)
@@ -376,19 +369,12 @@ class TestBilinearUpsample:
 
     def test_pool_then_upsample_constant_identity(self):
         c = Tensor(np.full((1, 2, 6, 6), 1.0 / 3.0, dtype=np.float32))
-        back = bilinear_upsample(avg_pool2d(c), 6, 6)
+        back = bilinear_upsample(avg_pool2d(c))
         assert np.array_equal(back.data, c.data)
-
-    def test_rejects_zero_or_shrinking_target(self):
-        x = rand((1, 1, 4, 4))
-        with pytest.raises(ValueError):
-            bilinear_upsample(x, 0, 4)
-        with pytest.raises(ValueError):
-            bilinear_upsample(x, 2, 4)
 
     def test_gradcheck(self):
         x = rand((1, 2, 3, 4), seed=12)
-        assert finite_difference_check(lambda t: tsum(bilinear_upsample(t, 7, 6)), x) < 1e-6
+        assert finite_difference_check(lambda t: tsum(bilinear_upsample(t)), x) < 1e-6
 
 
 class TestElementwise:
@@ -552,7 +538,7 @@ class TestBackward:
 
     def test_grad_shape_matches_data(self):
         x = Tensor(np.random.default_rng(24).normal(size=(2, 3, 4, 4)), requires_grad=True, dtype=F64)
-        tsum(conv2d(x, rand((2, 3, 3, 3), seed=25), padding=1)).backward()
+        tsum(conv2d(x, rand((2, 3, 3, 3), seed=25))).backward()
         assert x.grad.shape == x.data.shape
 
     def test_backward_frees_intermediate_nodes(self):
@@ -701,11 +687,11 @@ class TestInPlaceParity:
 
             return wrapper
 
-        def conv2d_of_stored_gelu(x, weight, bias=None, padding=0, groups=1, gelu_input=False):
+        def conv2d_of_stored_gelu(x, weight, bias=None, gelu_input=False):
             if gelu_input:
                 calls.append("conv2d_of_stored_gelu")
                 x = gelu_stored_tanh(x)
-            return conv2d(x, weight, bias, padding, groups)
+            return conv2d(x, weight, bias)
 
         for name in model.ABLATION_VARIANTS:
             got = run(name)
