@@ -30,11 +30,12 @@ def mu_law(x: Tensor, mu: float = DEFAULT_MU) -> Tensor:
         raise ValueError(f"mu_law: mu must be positive, got {mu}")
     if np.any(x.data < 0):
         raise ValueError("mu_law: negative input; clamp before tone mapping")
-    denom = x.data.dtype.type(math.log1p(mu))
-    data = np.log1p(mu * x.data) / denom
+    xn, xd = x.node, x.data
+    denom = xd.dtype.type(math.log1p(mu))
+    data = np.log1p(mu * xd) / denom
 
     def backward(g):
-        x._accumulate(g * mu / ((1.0 + mu * x.data) * denom))
+        xn._accumulate(g * mu / ((1.0 + mu * xd) * denom))
 
     return _node(data, (x,), backward)
 

@@ -63,7 +63,11 @@ class CRNetConfig:
     gamma: float = 1.0 / 2.2
     mu: float = DEFAULT_MU
 
-    def validate(self) -> None:
+    def validate(self) -> ParamSpec:
+        """Raise ValueError on a setting the network cannot be built from.
+
+        Returns the HFEM spec: building it is how the block rules are checked.
+        """
         counts = ("base_channels", "n_ceb", "n_hfem", "attn_window", "attn_heads", "ffn_expansion", "ca_reduction")
         too_small = [name for name in counts if getattr(self, name) < 1]
         if too_small:
@@ -78,7 +82,7 @@ class CRNetConfig:
             raise ValueError(f"config: fusion_mode must be joint or recurrent, got {self.fusion_mode!r}")
         if not (0 < self.mu < math.inf and 0 < self.gamma < math.inf):
             raise ValueError("config: mu and gamma must be positive and finite")
-        _hfem_spec(self)  # the block specs check the branch split, FFN and kernel modes and widths
+        return _hfem_spec(self)  # the block specs check the branch split, FFN and kernel modes and widths
 
 
 # Read noise can swing a raw value slightly below the black point; frames
@@ -199,15 +203,16 @@ def warp_by_flow(feature: Tensor, flow: np.ndarray) -> Tensor:
     top = v00 + wx * (v01 - v00)
     bottom = v10 + wx * (v11 - v10)
     out = top + wy * (bottom - top)
+    node, shape = feature.node, feature.shape
 
     def backward(g):
         # One scatter-add per neighbour over the flattened features.
         offsets = np.arange(batch * channels, dtype=np.intp).reshape(batch, channels, 1) * (height * width)
         parts = (g * (1 - wy) * (1 - wx), g * (1 - wy) * wx, g * wy * (1 - wx), g * wy * wx)
-        grad = np.zeros(feature.data.size, dtype=dtype)
+        grad = np.zeros(batch * channels * height * width, dtype=dtype)
         for corner, part in zip(corners, parts):
             np.add.at(grad, (offsets + corner[:, None]).ravel(), part.ravel())
-        feature._accumulate(grad.reshape(feature.shape))
+        node._accumulate(grad.reshape(shape))
 
     return _node(out, (feature,), backward)
 
@@ -282,14 +287,13 @@ def _hfem_spec(cfg: CRNetConfig) -> ParamSpec:
 
 def param_spec(cfg: CRNetConfig) -> ParamSpec:
     """Ordered path -> shape layout of every learnable tensor for cfg."""
-    cfg.validate()
+    hfem = cfg.validate()
     c = cfg.base_channels
     spec: ParamSpec = {}
     spec["shallow.weight"] = (c, 2 * RAW_CHANNELS, 3, 3)
     spec["shallow.bias"] = (c,)
     spec["reduce.weight"] = (c, NUM_FRAMES * c, 1, 1)
     spec["reduce.bias"] = (c,)
-    hfem = _hfem_spec(cfg)
     for i in range(cfg.n_hfem):
         spec.update(prefixed(hfem, f"hfem{i}."))
     spec["ref_proc.weight"] = (c, c, 3, 3)

@@ -242,6 +242,11 @@ def _is_plain_name(sid: str) -> bool:
     return Path(sid).name == sid
 
 
+def _index_ids(index: Path) -> List[str]:
+    """The sample ids an index lists: one per line, surrounding blanks stripped."""
+    return list(filter(None, map(str.strip, index.read_text(encoding="utf-8").splitlines())))
+
+
 def write_dataset(samples: Sequence[SampleRecord], directory) -> List[str]:
     """Write one archive per sample plus the id index; returns the ids.
 
@@ -251,7 +256,7 @@ def write_dataset(samples: Sequence[SampleRecord], directory) -> List[str]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     index = directory / INDEX_NAME
-    previous = index.read_text(encoding="utf-8").split() if index.exists() else []
+    previous = _index_ids(index) if index.exists() else []
     ids = [f"sample{i:05d}" for i in range(len(samples))]
     for sid, sample in zip(ids, samples):
         write_archive(directory / f"{sid}.crt1a", sample_to_entries(sample))
@@ -268,10 +273,7 @@ def read_dataset(directory) -> List[Tuple[str, SampleRecord]]:
     if not index.exists():
         raise FormatError(f"{index}: dataset index not found")
     samples: List[Tuple[str, SampleRecord]] = []
-    for sid in index.read_text(encoding="utf-8").splitlines():
-        sid = sid.strip()
-        if not sid:
-            continue
+    for sid in _index_ids(index):
         if not _is_plain_name(sid):
             raise FormatError(f"{index}: sample id {sid!r} is not a plain file name")
         path = directory / f"{sid}.crt1a"

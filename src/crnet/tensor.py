@@ -3,9 +3,13 @@
 Every differentiable primitive the network is built from lives here:
 convolution, pooling, bilinear 2x upsampling, elementwise math, softmax,
 matmul, and concatenation. Tensors record their provenance when any
-input requires a gradient; ``backward()`` on a scalar result walks
-the graph in reverse topological order, adds gradients into every
-reachable tensor that asked for them and frees each node behind it.
+input requires a gradient. The graph is made of nodes, which hold
+gradients and backward links but no data; each op's backward closure
+keeps only the arrays its formula reads, so an output that no backward
+reads is freed once its Tensor is dropped. ``backward()`` on a scalar
+result walks the nodes in reverse topological order, adds gradients
+into every reachable tensor that asked for them and frees each node
+behind it.
 
 Two float precisions are supported: float32 for ordinary training and
 inference, float64 for gradient verification. All tensors participating
@@ -18,24 +22,57 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+class _Node:
+    """A tensor's place in the graph: gradient slot and backward link, no data.
+
+    Parents and backward closures hold nodes, so an op's output array lives
+    only as long as its Tensor or a closure whose formula reads it.
+    """
+
+    __slots__ = ("requires_grad", "grad", "dtype", "_parents", "_backward_fn", "__weakref__")
+
+    def __init__(self, requires_grad: bool, dtype):
+        self.requires_grad = requires_grad
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+        self._parents: tuple = ()
+        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.dtype)  # a copy: g may be another node's buffer
+        else:
+            self.grad += g
+
+
+def _delegate(name: str) -> property:
+    return property(lambda t: getattr(t.node, name), lambda t, v: setattr(t.node, name, v))
+
+
 class Tensor:
-    """Dense array plus optional gradient slot and graph linkage.
+    """Dense array plus its graph node.
 
     data is contiguous row-major; image tensors use [B, C, H, W] with
     width innermost. ``grad`` stays ``None`` until a backward pass
     deposits something, and a tensor created with requires_grad=False
-    never accumulates gradient.
+    never accumulates gradient. Gradient state lives on ``node``; an op
+    keeps only the arrays its backward reads, so an intermediate output
+    is freed as soon as the forward code drops its Tensor.
     """
+
+    requires_grad = _delegate("requires_grad")
+    grad = _delegate("grad")
+    _backward_fn = _delegate("_backward_fn")
+    _parents = property(lambda t: t.node._parents)
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
-        self.requires_grad: bool = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self.node = _Node(bool(requires_grad), arr.dtype)
 
     @property
     def shape(self) -> tuple:
@@ -70,12 +107,7 @@ class Tensor:
     # -- graph mechanics ---------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)  # a copy: g may be another node's buffer
-        else:
-            self.grad += g
+        self.node._accumulate(g)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
@@ -86,7 +118,7 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
-        order = _toposort(self)  # root last
+        order = _toposort(self.node)  # root last
         self._accumulate(np.ones_like(self.data))
         if not self.requires_grad:
             self.grad = np.ones_like(self.data)
@@ -120,7 +152,7 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _toposort(root: Tensor) -> list:
+def _toposort(root: _Node) -> list:
     """Topological order (root last), iterative to survive deep graphs."""
     order: list = []
     visited: set = set()
@@ -161,11 +193,12 @@ def _check_same_dtype(*tensors: Tensor) -> None:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
+    nodes = tuple(p.node for p in parents)
+    requires = any(n.requires_grad for n in nodes)
     out = Tensor(data, requires_grad=requires)
     if requires:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out.node._parents = nodes
+        out.node._backward_fn = backward_fn
     return out
 
 
@@ -197,69 +230,75 @@ def _binary_operands(name: str, op, a, b):
 
 def add(a, b) -> Tensor:
     a, b, data = _binary_operands("add", np.add, a, b)
+    an, bn, a_shape, b_shape = a.node, b.node, a.shape, b.shape
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        an._accumulate(_unbroadcast(g, a_shape))
+        bn._accumulate(_unbroadcast(g, b_shape))
 
     return _node(data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b, data = _binary_operands("sub", np.subtract, a, b)
+    an, bn, a_shape, b_shape = a.node, b.node, a.shape, b.shape
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
+        an._accumulate(_unbroadcast(g, a_shape))
+        bn._accumulate(_unbroadcast(-g, b_shape))
 
     return _node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b, data = _binary_operands("mul", np.multiply, a, b)
+    an, bn, ad, bd = a.node, b.node, a.data, b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        an._accumulate(_unbroadcast(g * bd, ad.shape))
+        bn._accumulate(_unbroadcast(g * ad, bd.shape))
 
     return _node(data, (a, b), backward)
 
 
 def tabs(x: Tensor) -> Tensor:
     """Elementwise absolute value; subgradient 0 at exactly zero."""
-    data = np.abs(x.data)
+    xn, xd = x.node, x.data
+    data = np.abs(xd)
 
     def backward(g):
-        x._accumulate(g * np.sign(x.data))
+        xn._accumulate(g * np.sign(xd))
 
     return _node(data, (x,), backward)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor) elementwise; gradient flows only where x > floor."""
-    data = np.maximum(x.data, x.data.dtype.type(floor))
+    xn, xd = x.node, x.data
+    data = np.maximum(xd, xd.dtype.type(floor))
 
     def backward(g):
-        x._accumulate(g * (x.data > floor))
+        xn._accumulate(g * (xd > floor))
 
     return _node(data, (x,), backward)
 
 
 def tsum(x: Tensor) -> Tensor:
+    xn, shape = x.node, x.shape
     data = x.data.sum()
 
     def backward(g):
-        x._accumulate(np.broadcast_to(g, x.shape))
+        xn._accumulate(np.broadcast_to(g, shape))
 
     return _node(np.asarray(data), (x,), backward)
 
 
 def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
+    xn, shape, n = x.node, x.shape, x.data.size
     data = x.data.mean()
 
     def backward(g):
-        x._accumulate(np.broadcast_to(g / n, x.shape))
+        xn._accumulate(np.broadcast_to(g / n, shape))
 
     return _node(np.asarray(data), (x,), backward)
 
@@ -328,10 +367,11 @@ def gelu(x: Tensor) -> Tensor:
     input's size per call until backward runs. A GELU that feeds only a
     conv belongs in ``conv2d(..., gelu_input=True)``, which keeps no output.
     """
-    data = _gelu_forward(x.data, _gelu_tanh(x.data))
+    xn, xd = x.node, x.data
+    data = _gelu_forward(xd, _gelu_tanh(xd))
 
     def backward(g):
-        x._accumulate(_gelu_vjp(x.data, _gelu_tanh(x.data), g))
+        xn._accumulate(_gelu_vjp(xd, _gelu_tanh(xd), g))
 
     return _node(data, (x,), backward)
 
@@ -341,9 +381,10 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(d))
     s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(d.dtype)
+    xn = x.node
 
     def backward(g):
-        x._accumulate(g * s * (1.0 - s))
+        xn._accumulate(g * s * (1.0 - s))
 
     return _node(s, (x,), backward)
 
@@ -352,13 +393,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     s = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=axis, keepdims=True)
+    xn = x.node
 
     def backward(g):
         local = g * s
         dot = local.sum(axis=axis, keepdims=True)
         np.subtract(g, dot, out=local)
         local *= s
-        x._accumulate(local)
+        xn._accumulate(local)
 
     return _node(s, (x,), backward)
 
@@ -367,10 +409,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    xn, x_shape = x.node, x.shape
     data = x.data.reshape(shape)
 
     def backward(g):
-        x._accumulate(g.reshape(x.shape))
+        xn._accumulate(g.reshape(x_shape))
 
     return _node(data, (x,), backward)
 
@@ -379,9 +422,10 @@ def permute(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     data = np.ascontiguousarray(x.data.transpose(axes))
+    xn = x.node
 
     def backward(g):
-        x._accumulate(g.transpose(inverse))
+        xn._accumulate(g.transpose(inverse))
 
     return _node(data, (x,), backward)
 
@@ -403,12 +447,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + extents)
+    nodes = [t.node for t in tensors]
 
     def backward(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[axis] = slice(start, stop)
-            t._accumulate(g[tuple(index)])
+            node._accumulate(g[tuple(index)])
 
     return _node(data, tensors, backward)
 
@@ -422,11 +467,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: leading dims differ, {a.shape} vs {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner axis mismatch, {a.shape} vs {b.shape}")
-    data = np.matmul(a.data, b.data)
+    an, bn, ad, bd = a.node, b.node, a.data, b.data
+    data = np.matmul(ad, bd)
 
     def backward(g):
-        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+        an._accumulate(np.matmul(g, np.swapaxes(bd, -1, -2)))
+        bn._accumulate(np.matmul(np.swapaxes(ad, -1, -2), g))
 
     return _node(data, (a, b), backward)
 
@@ -511,20 +557,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
 
-    a = _gelu_forward(x.data, _gelu_tanh(x.data)) if gelu_input else x.data
-    out = _correlate(a, weight.data)
+    xn, wn, xd, wd = x.node, weight.node, x.data, weight.data
+    bn = bias.node if bias is not None else None
+    a = _gelu_forward(xd, _gelu_tanh(xd)) if gelu_input else xd
+    out = _correlate(a, wd)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
     def backward(g):
-        a = x.data
+        a = xd
         t = _gelu_tanh(a) if gelu_input else None
-        if x.requires_grad:
+        if xn.requires_grad:
             # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
-            wt = weight.data.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
+            wt = wd.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
             wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
             gx = _correlate(g, wt)
-            x._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
+            xn._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
             del gx
         if gelu_input:
             a = _gelu_forward(a, t)  # the forward's gelu(x); after _gelu_vjp, which needs the bare tanh
@@ -535,9 +583,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
         dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
         for i, j, view in _taps(a, groups, kh, kw):
             dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
-        weight._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(weight.shape))
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        wn._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(wd.shape))
+        if bn is not None:
+            bn._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _node(out, parents, backward)
 
@@ -560,10 +608,11 @@ def avg_pool2d(x: Tensor) -> Tensor:
     oh, ow = height // 2, width // 2
     xr = x.data.reshape(batch, channels, oh, 2, ow, 2)
     out = xr.mean(axis=(3, 5))
+    xn = x.node
 
     def backward(g):
         spread = np.broadcast_to(g[:, :, :, None, :, None] / 4, (batch, channels, oh, 2, ow, 2))
-        x._accumulate(spread.reshape(x.shape))
+        xn._accumulate(spread.reshape(batch, channels, height, width))
 
     return _node(out, (x,), backward)
 
@@ -573,6 +622,7 @@ def max_pool2d(x: Tensor) -> Tensor:
 
     The gradient routes to the window's argmax; ties break to the first
     element in row-major window order, so gradients are deterministic.
+    Backward keeps only the argmax indices.
     """
     _check_pool_args(x)
     batch, channels, height, width = x.shape
@@ -582,12 +632,13 @@ def max_pool2d(x: Tensor) -> Tensor:
     flat = flat.reshape(batch, channels, oh, ow, 4)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xn, dtype = x.node, x.data.dtype
 
     def backward(g):
-        dflat = np.zeros_like(flat)
+        dflat = np.zeros((batch, channels, oh, ow, 4), dtype)
         np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
         dx = dflat.reshape(batch, channels, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x._accumulate(dx.reshape(x.shape))
+        xn._accumulate(dx.reshape(batch, channels, height, width))
 
     return _node(out, (x,), backward)
 
@@ -598,9 +649,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ValueError(f"global_avg_pool: input must be 4-d, got {x.shape}")
     _, _, height, width = x.shape
     out = x.data.mean(axis=(2, 3), keepdims=True)
+    xn, shape = x.node, x.shape
 
     def backward(g):
-        x._accumulate(np.broadcast_to(g / (height * width), x.shape))
+        xn._accumulate(np.broadcast_to(g / (height * width), shape))
 
     return _node(out, (x,), backward)
 
@@ -651,10 +703,11 @@ def bilinear_upsample(x: Tensor) -> Tensor:
     rows = low + wr * (x.data[:, :, hi_r, :] - low)
     left = rows[:, :, :, lo_c]
     out = left + wc * (rows[:, :, :, hi_c] - left)
+    xn = x.node
 
     def backward(g):
         row_mat = _interp_matrix(out_h, height, dtype)
         col_mat = _interp_matrix(out_w, width, dtype)
-        x._accumulate(np.matmul(np.matmul(row_mat.T, g), col_mat))
+        xn._accumulate(np.matmul(np.matmul(row_mat.T, g), col_mat))
 
     return _node(out, (x,), backward)

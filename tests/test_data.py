@@ -173,6 +173,19 @@ class TestDatasetFiles:
         write_dataset(samples, tmp_path / "data")
         assert (tmp_path / "other" / "sample00000.crt1a").exists()
 
+    def test_replacing_deletes_listed_ids_with_spaces(self, tmp_path):
+        # read_dataset and write_dataset read the index the same way: an id
+        # with a space that one loads, the other deletes when it is dropped.
+        samples = [generate_sample(SceneSpec(seed=0), DegradeSpec())]
+        write_dataset(samples, tmp_path)
+        (tmp_path / "sample00000.crt1a").rename(tmp_path / "my sample.crt1a")
+        write_dataset(samples, tmp_path)
+        (tmp_path / "index.txt").write_text("sample00000\nmy sample\n")
+        assert [sid for sid, _ in read_dataset(tmp_path)] == ["sample00000", "my sample"]
+        write_dataset(samples, tmp_path)
+        assert not (tmp_path / "my sample.crt1a").exists()
+        assert [sid for sid, _ in read_dataset(tmp_path)] == ["sample00000"]
+
     def test_byte_determinism_of_written_files(self, tmp_path):
         samples = [generate_sample(SceneSpec(seed=3), DegradeSpec())]
         write_dataset(samples, tmp_path / "a")

@@ -4,6 +4,7 @@ forward contract, ablation construction, and parameter accounting."""
 import numpy as np
 import pytest
 
+from crnet import model as model_mod
 from crnet.metrics import l1_tonemapped_loss
 from crnet.model import (
     ABLATION_VARIANTS,
@@ -275,6 +276,15 @@ class TestForward:
         assert "missing=['head.bias']" in message
         assert "unexpected=['bogus.weight']" in message
         assert "'shallow.bias' is (3,), expected (8,)" in message
+
+    def test_validate_params_builds_the_hfem_spec_once(self, monkeypatch):
+        cfg = tiny_config()
+        params = build_params(cfg, seed=0)
+        calls = []
+        build = model_mod._hfem_spec
+        monkeypatch.setattr(model_mod, "_hfem_spec", lambda c: calls.append(c) or build(c))
+        validate_params(params, cfg)
+        assert len(calls) == 1
 
     def test_window_divisibility_enforced(self):
         cfg = tiny_config(attn_window=8)

@@ -32,6 +32,12 @@ from crnet.tensor import (
 F64 = np.float64
 
 
+def _closure_array_ids(out: Tensor) -> list:
+    """ids of the arrays that out's backward closure keeps, sorted."""
+    cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+    return sorted(id(c) for c in cells if isinstance(c, np.ndarray))
+
+
 _MAGS = np.logspace(-3, 12, 61)
 # |x| >= 7e12 overflows the float32 cube to inf, and |x| >= 2e19 the square;
 # the tanh saturates to +-1 there.
@@ -280,7 +286,7 @@ class TestGeluInputConv:
 
     def test_keeps_only_its_output(self):
         # gelu(x) is rebuilt in backward from x, the producing op's output, so
-        # the node adds only its own output to the graph and keeps no array.
+        # the node adds only its own output to the graph and keeps x and w.
         rng = np.random.default_rng(20)
         x, w, b = (
             Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
@@ -295,8 +301,7 @@ class TestGeluInputConv:
             tracemalloc.stop()
         assert out._backward_fn is not None
         assert kept < 1.5 * out.data.nbytes
-        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
-        assert not any(isinstance(c, np.ndarray) for c in cells)
+        assert _closure_array_ids(out) == sorted([id(x.data), id(w.data)])
 
 
 class TestPooling:
@@ -321,6 +326,15 @@ class TestPooling:
         x = Tensor(np.array([[[[2.0, 2.0], [2.0, 2.0]]]]), requires_grad=True, dtype=F64)
         tsum(max_pool2d(x)).backward()
         assert np.array_equal(x.grad[0, 0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_max_keeps_no_copy_of_its_input(self):
+        # Backward routes by the argmax indices alone; the window-major copy
+        # of x that the forward reads is freed when the forward returns.
+        x = rand((1, 4, 8, 8), seed=9)
+        x.requires_grad = True
+        out = max_pool2d(x)
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(c, np.ndarray) and c.size >= x.size for c in cells)
 
     def test_gradchecks(self):
         x = rand((2, 3, 4, 6), seed=10)
@@ -407,7 +421,8 @@ class TestElementwise:
 
     def test_gelu_keeps_only_its_input(self):
         # Backward recomputes the tanh from x, which the producing op's
-        # output already holds: gelu adds only its own output to the graph.
+        # output already holds: gelu adds only its own output to the graph
+        # and its closure keeps x alone.
         x = Tensor(np.random.default_rng(14).normal(size=(1, 64, 32, 32)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
@@ -418,8 +433,7 @@ class TestElementwise:
             tracemalloc.stop()
         assert out._backward_fn is not None
         assert kept < 1.5 * x.data.nbytes
-        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
-        assert not any(isinstance(c, np.ndarray) for c in cells)
+        assert _closure_array_ids(out) == [id(x.data)]
 
     def test_softmax_uniform(self):
         out = softmax(Tensor(np.full((5,), 3.7), dtype=F64), axis=-1)
@@ -555,6 +569,18 @@ class TestBackward:
         t = np.tanh(0.7978845608028654 * (u + 0.044715 * u**3))
         slope = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * 0.7978845608028654 * (1.0 + 3 * 0.044715 * u * u)
         assert np.allclose(x.grad, slope * 2.0 * x.data, rtol=1e-12, atol=0.0)
+
+    def test_output_no_backward_reads_is_freed_in_the_forward(self):
+        # add's backward reads only g, so mul's output dies with its Tensor
+        # while the graph that produced it stays usable.
+        x = Tensor(np.array([-1.5, 0.25, 2.0]), requires_grad=True, dtype=F64)
+        square = mul(x, x)
+        square_ref = weakref.ref(square.data)
+        out = add(square, x)
+        del square
+        assert square_ref() is None
+        tsum(out).backward()
+        assert np.array_equal(x.grad, 2.0 * x.data + 1.0)
 
     def test_second_backward_through_released_graph_raises(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=F64)
