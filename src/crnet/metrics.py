@@ -58,8 +58,8 @@ def l1_tonemapped_loss(prediction: Tensor, target: Tensor, mu: float = DEFAULT_M
     return tmean(tabs(sub(mu_law(target, mu), mu_law(prediction, mu))))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """10*log10(max_val^2 / MSE); identical inputs give +inf."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / MSE), peak value 1; identical inputs give +inf."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -67,12 +67,12 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_val * max_val / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def psnr_mu(a: np.ndarray, b: np.ndarray, mu: float = DEFAULT_MU) -> float:
     """PSNR in the tone-mapped domain, peak value 1."""
-    return psnr(mu_law_np(a, mu), mu_law_np(b, mu), max_val=1.0)
+    return psnr(mu_law_np(a, mu), mu_law_np(b, mu))
 
 
 _SSIM_WINDOW = 11
@@ -80,8 +80,8 @@ _SSIM_TAPS = np.exp(-((np.arange(_SSIM_WINDOW) - (_SSIM_WINDOW - 1) / 2.0) ** 2)
 _SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """Single-scale SSIM, 11x11 Gaussian window sigma=1.5, K1=0.01, K2=0.03.
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Single-scale SSIM, 11x11 Gaussian window sigma=1.5, K1=0.01, K2=0.03, peak value 1.
 
     Computed over valid window positions only (no padding). Multichannel
     inputs [C, H, W] are scored per channel and averaged.
@@ -106,7 +106,7 @@ def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
         moments = np.ascontiguousarray(filtered.transpose(0, 2, 1))
     mu_a, mu_b, e_aa, e_bb, e_ab = moments.reshape((5, channels) + moments.shape[1:])
     var_a, var_b, cov = e_aa - mu_a**2, e_bb - mu_b**2, e_ab - mu_a * mu_b
-    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
+    c1, c2 = 0.01**2, 0.03**2
     ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
@@ -114,7 +114,7 @@ def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
 
 
 def ssim_mu(a: np.ndarray, b: np.ndarray, mu: float = DEFAULT_MU) -> float:
-    return ssim(mu_law_np(a, mu), mu_law_np(b, mu), max_val=1.0)
+    return ssim(mu_law_np(a, mu), mu_law_np(b, mu))
 
 
 @dataclass
@@ -137,8 +137,8 @@ class MetricReport:
 
 def compute_report(prediction: np.ndarray, target: np.ndarray, mu: float = DEFAULT_MU) -> MetricReport:
     return MetricReport(
-        psnr_linear=psnr(prediction, target, 1.0),
+        psnr_linear=psnr(prediction, target),
         psnr_mu=psnr_mu(prediction, target, mu),
-        ssim_linear=ssim(prediction, target, 1.0),
+        ssim_linear=ssim(prediction, target),
         ssim_mu=ssim_mu(prediction, target, mu),
     )

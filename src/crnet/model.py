@@ -217,51 +217,46 @@ def warp_by_flow(feature: Tensor, flow: np.ndarray) -> Tensor:
     return _node(out, (feature,), backward)
 
 
-def _search_order(radius: int) -> List[Tuple[int, int]]:
-    cands = [(dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)]
-    return sorted(cands, key=lambda d: d[0] * d[0] + d[1] * d[1])
+FLOW_BLOCK = 8  # block matching: side of a square block, px
+FLOW_RADIUS = 4  # block matching: largest displacement along each axis, px
+# (dx, dy) search offsets, nearest first; the stable sort keeps row-major order among ties.
+_FLOW_OFFSETS = np.array(
+    sorted(
+        ((dx, dy) for dy in range(-FLOW_RADIUS, FLOW_RADIUS + 1) for dx in range(-FLOW_RADIUS, FLOW_RADIUS + 1)),
+        key=lambda d: d[0] * d[0] + d[1] * d[1],
+    )
+)
 
 
-def estimate_flow(
-    ref,
-    frame,
-    block: int = 8,
-    radius: int = 4,
-) -> np.ndarray:
+def estimate_flow(ref, frame) -> np.ndarray:
     """Integer block-matching flow from reference to frame.
 
-    Minimizes per-block sum of absolute differences over displacements
-    within [-radius, radius]^2; ties break toward zero displacement and
-    then row-major search order, so identical inputs give a zero field.
-    Inputs are [..., C, H, W] with broadcasting leading axes (a [B, C, H, W]
-    reference against [N, B, C, H, W] frames matches every pair at once);
-    the result is piecewise constant per block, [..., 2, H, W] (dx, dy).
+    Each FLOW_BLOCK (8 px) square block, partial at the edges, takes the
+    displacement within [-FLOW_RADIUS, FLOW_RADIUS]^2 (4 px) that minimizes its
+    sum of absolute differences; a tie goes to the nearest displacement, then
+    row-major, so identical inputs give a zero field. Inputs are [..., C, H, W]
+    with broadcasting leading axes (a [B, C, H, W] reference against
+    [N, B, C, H, W] frames matches every pair at once); the result is
+    piecewise constant per block, [..., 2, H, W] (dx, dy).
     """
-    ref = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
-    frame = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
+    ref, frame = np.asarray(ref), np.asarray(frame)
     if ref.ndim < 3 or ref.shape[-3:] != frame.shape[-3:]:
         raise ValueError(f"estimate_flow: expected matching [..., C, H, W], got {ref.shape} vs {frame.shape}")
     lead = np.broadcast_shapes(ref.shape[:-3], frame.shape[:-3])
     height, width = ref.shape[-2:]
-    row_starts = np.arange(0, height, block)
-    col_starts = np.arange(0, width, block)
-    pad = [(0, 0)] * (frame.ndim - 2) + [(radius, radius), (radius, radius)]
-    padded = np.pad(frame, pad, mode="edge")
+    row_starts = np.arange(0, height, FLOW_BLOCK)
+    col_starts = np.arange(0, width, FLOW_BLOCK)
+    r = FLOW_RADIUS
+    padded = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(r, r), (r, r)], mode="edge")
     diff = np.empty(lead + ref.shape[-3:], dtype=np.result_type(ref, frame))
-    best_sad = np.full(lead + (len(row_starts), len(col_starts)), np.inf)
-    best_dx = np.zeros_like(best_sad)
-    best_dy = np.zeros_like(best_sad)
-    for dy, dx in _search_order(radius):
-        shifted = padded[..., radius + dy : radius + dy + height, radius + dx : radius + dx + width]
-        np.subtract(ref, shifted, out=diff)
+    sad = np.empty((len(_FLOW_OFFSETS),) + lead + (len(row_starts), len(col_starts)), dtype=diff.dtype)
+    for k, (dx, dy) in enumerate(_FLOW_OFFSETS):
+        np.subtract(ref, padded[..., r + dy : r + dy + height, r + dx : r + dx + width], out=diff)
         np.abs(diff, out=diff)
-        sad = np.add.reduceat(np.add.reduceat(diff.sum(axis=-3), row_starts, axis=-2), col_starts, axis=-1)
-        better = sad < best_sad
-        best_sad[better] = sad[better]
-        best_dx[better] = dx
-        best_dy[better] = dy
-    best = np.stack([best_dx, best_dy], axis=-3).astype(np.float32)
-    return np.repeat(np.repeat(best, block, axis=-2), block, axis=-1)[..., :height, :width]
+        sad[k] = np.add.reduceat(np.add.reduceat(diff.sum(axis=-3), row_starts, axis=-2), col_starts, axis=-1)
+    # argmin takes the first minimum in search order: the nearest offset.
+    best = np.moveaxis(_FLOW_OFFSETS[sad.argmin(axis=0)], -1, -3).astype(np.float32)
+    return np.repeat(np.repeat(best, FLOW_BLOCK, axis=-2), FLOW_BLOCK, axis=-1)[..., :height, :width]
 
 
 # -- parameter layout -----------------------------------------------------------

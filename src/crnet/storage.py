@@ -156,21 +156,16 @@ def read_archive(path) -> Dict[str, np.ndarray]:
 
 
 def write_pfm(path, image: np.ndarray) -> None:
-    """Write a float image as PFM (little-endian, scale -1.0).
+    """Write a grayscale [H, W] float image as PFM (little-endian, scale -1.0).
 
-    Accepts [H, W] grayscale or [H, W, 3] color. PFM stores rows
-    bottom-to-top.
+    PFM stores rows bottom-to-top.
     """
     image = np.asarray(image, dtype=np.float32)
-    if image.ndim == 2:
-        header = b"Pf"
-    elif image.ndim == 3 and image.shape[2] == 3:
-        header = b"PF"
-    else:
-        raise FormatError(f"PFM needs [H,W] or [H,W,3], got shape {image.shape}")
-    h, w = image.shape[:2]
+    if image.ndim != 2:
+        raise FormatError(f"PFM needs a grayscale [H,W] image, got shape {image.shape}")
+    h, w = image.shape
     with open(path, "wb") as fh:
-        fh.write(header + b"\n")
+        fh.write(b"Pf\n")
         fh.write(f"{w} {h}\n".encode())
         fh.write(b"-1.0\n")
         fh.write(np.ascontiguousarray(image[::-1]).astype("<f4").tobytes())

@@ -145,7 +145,7 @@ def render_bracket(
     scene: np.ndarray,
     degrade: DegradeSpec,
     motion: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ExposureStack:
     """Render the five-exposure degraded stack of a radiance scene.
 
@@ -155,7 +155,7 @@ def render_bracket(
     scene's nominal dynamic range ceiling inferred as max(scene, 1);
     read and shot noise shrink with exposure ratio and frames quantize
     to 12 bits (negative noise excursions below the black point are
-    kept, the top clips at 1).
+    kept, the top clips at 1). rng draws the noise.
     """
     degrade.validate()
     scene = np.asarray(scene, dtype=np.float64)
@@ -165,8 +165,6 @@ def render_bracket(
     # ground-truth geometry.
     motion = np.asarray(motion, dtype=np.float64)
     motion = motion - motion[0]
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([0, 0xB1A5]))
     times = np.asarray(degrade.exposure_times, dtype=np.float64)
     peak = max(float(scene.max()), 1.0)
     source = Tensor(scene[None])
@@ -220,7 +218,7 @@ def sample_to_entries(sample: SampleRecord) -> dict:
     return entries
 
 
-def stack_from_entries(entries: dict, context: str = "<archive>") -> ExposureStack:
+def stack_from_entries(entries: dict, context: str) -> ExposureStack:
     for key in [f"frame{i}" for i in range(NUM_FRAMES)] + ["exposure_times"]:
         if key not in entries:
             raise FormatError(f"{context}: missing entry {key!r}")
@@ -230,7 +228,7 @@ def stack_from_entries(entries: dict, context: str = "<archive>") -> ExposureSta
     )
 
 
-def sample_from_entries(entries: dict, context: str = "<archive>") -> SampleRecord:
+def sample_from_entries(entries: dict, context: str) -> SampleRecord:
     stack = stack_from_entries(entries, context)
     if "ground_truth" not in entries:
         raise FormatError(f"{context}: missing entry 'ground_truth'")

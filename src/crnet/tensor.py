@@ -101,9 +101,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph mechanics ---------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -135,18 +132,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def reshape(self, shape):
         return reshape(self, shape)

@@ -265,7 +265,7 @@ def train(
     if state is None:
         state = init_optim_state(params, train_cfg)
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

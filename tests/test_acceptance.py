@@ -253,7 +253,7 @@ def test_criterion_3_metric_oracles():
     endpoints = mu_law(Tensor(np.array([0.0, 1.0]), dtype=F64), 5000.0).data
     ok_t = endpoints[0] == 0.0 and endpoints[1] == 1.0
 
-    twenty = psnr(np.zeros((10, 10)), np.full((10, 10), 0.1), 1.0)
+    twenty = psnr(np.zeros((10, 10)), np.full((10, 10), 0.1))
     ok_psnr = abs(twenty - 20.0) < 1e-12
 
     x = np.random.default_rng(9).uniform(0, 1, (16, 16))

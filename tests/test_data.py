@@ -19,6 +19,11 @@ from crnet.synth import (
 ZERO_MOTION = np.zeros((5, 2))
 
 
+def seed0_noise():
+    """A fresh noise generator, the stream generate_sample draws for scene seed 0."""
+    return np.random.default_rng(np.random.SeedSequence([0, 0xB1A5]))
+
+
 class TestGenerateScene:
     def test_same_seed_bit_identical(self):
         spec = SceneSpec(seed=42)
@@ -67,7 +72,7 @@ class TestRenderBracket:
             shot_noise_scale=0.0,
             blur_taps=1,
         )
-        stack = render_bracket(scene, d, ZERO_MOTION)
+        stack = render_bracket(scene, d, ZERO_MOTION, seed0_noise())
         reference = scene / max(scene.max(), 1.0)
         for i, frame in enumerate(stack.frames):
             ratio = d.exposure_times[i]
@@ -86,14 +91,14 @@ class TestRenderBracket:
     def test_first_frame_least_exposed(self):
         scene = generate_scene(SceneSpec(seed=6))
         d = DegradeSpec(read_noise_sigma=0.0, shot_noise_scale=0.0, blur_taps=1)
-        stack = render_bracket(scene, d, ZERO_MOTION)
+        stack = render_bracket(scene, d, ZERO_MOTION, seed0_noise())
         means = [float(f.mean()) for f in stack.frames]
         assert means[0] == min(means)
 
     def test_exposure_monotonicity_noiseless(self):
         scene = generate_scene(SceneSpec(seed=7))
         d = DegradeSpec(read_noise_sigma=0.0, shot_noise_scale=0.0, blur_taps=1)
-        stack = render_bracket(scene, d, ZERO_MOTION)
+        stack = render_bracket(scene, d, ZERO_MOTION, seed0_noise())
         means = [float(f.mean()) for f in stack.frames]
         assert all(means[i + 1] >= means[i] for i in range(4))
 
@@ -104,15 +109,19 @@ class TestRenderBracket:
     def test_blur_smears_long_frames(self):
         scene = generate_scene(SceneSpec(seed=9))
         motion = np.array([[0, 0], [2, 0], [4, 0], [6, 0], [8, 0]], dtype=np.float64)
-        sharp = render_bracket(scene, DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=1), motion)
-        blurred = render_bracket(scene, DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=8), motion)
+        sharp = render_bracket(
+            scene, DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=1), motion, seed0_noise()
+        )
+        blurred = render_bracket(
+            scene, DegradeSpec(read_noise_sigma=0, shot_noise_scale=0, blur_taps=8), motion, seed0_noise()
+        )
         assert np.array_equal(sharp.frames[0], blurred.frames[0])  # short frame untouched
         assert not np.array_equal(sharp.frames[4], blurred.frames[4])
         assert float(np.var(blurred.frames[4])) < float(np.var(sharp.frames[4]))
 
     def test_negative_scene_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            render_bracket(-np.ones((4, 8, 8)), DegradeSpec(), ZERO_MOTION)
+            render_bracket(-np.ones((4, 8, 8)), DegradeSpec(), ZERO_MOTION, seed0_noise())
 
 
 class TestGroundTruthProperties:

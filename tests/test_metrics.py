@@ -18,7 +18,7 @@ from crnet.metrics import (
     ssim,
     ssim_mu,
 )
-from crnet.tensor import Tensor
+from crnet.tensor import Tensor, tmean
 
 F64 = np.float64
 
@@ -49,7 +49,7 @@ class TestMuLaw:
 
     def test_gradient_matches_finite_differences(self):
         x = Tensor(np.random.default_rng(0).uniform(0.01, 1.0, (4, 4)), dtype=F64)
-        err = finite_difference_check(lambda t: mu_law(t, 5000.0).mean(), x)
+        err = finite_difference_check(lambda t: tmean(mu_law(t, 5000.0)), x)
         assert err <= 1e-6
 
 
@@ -98,22 +98,16 @@ class TestPSNR:
     def test_20db_case(self):
         a = np.zeros((10, 10))
         b = np.full((10, 10), 0.1)  # MSE = 0.01
-        assert psnr(a, b, 1.0) == pytest.approx(20.0, abs=1e-12)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(7)
-        a = rng.uniform(0, 1, (8, 8))
-        b = rng.uniform(0, 1, (8, 8))
-        assert psnr(a, b, 1.0) == pytest.approx(psnr(3 * a, 3 * b, 3.0), abs=1e-10)
+        assert psnr(a, b) == pytest.approx(20.0, abs=1e-12)
 
     def test_mu_flavor_tone_maps_first(self):
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 1, (8, 8))
         b = rng.uniform(0, 1, (8, 8))
-        assert psnr_mu(a, b) == pytest.approx(psnr(mu_law_np(a), mu_law_np(b), 1.0), abs=1e-12)
+        assert psnr_mu(a, b) == pytest.approx(psnr(mu_law_np(a), mu_law_np(b)), abs=1e-12)
 
 
-def ssim_loops(a, b, max_val=1.0):
+def ssim_loops(a, b):
     """Direct per-window SSIM evaluation, independent of the vectorized path."""
     size, sigma, k1, k2 = 11, 1.5, 0.01, 0.03
     half = (size - 1) / 2.0
@@ -121,7 +115,7 @@ def ssim_loops(a, b, max_val=1.0):
     g = np.exp(-(coords**2) / (2 * sigma**2))
     kernel = np.outer(g, g)
     kernel /= kernel.sum()
-    c1, c2 = (k1 * max_val) ** 2, (k2 * max_val) ** 2
+    c1, c2 = k1**2, k2**2
     h, w = a.shape
     values = []
     for y in range(h - size + 1):

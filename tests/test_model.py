@@ -22,7 +22,7 @@ from crnet.model import (
     validate_params,
     warp_by_flow,
 )
-from crnet.tensor import Tensor, conv2d
+from crnet.tensor import Tensor, conv2d, tsum
 
 GAMMA = 1.0 / 2.2
 
@@ -134,8 +134,30 @@ class TestWarpByFlow:
     def test_gradient_flows_to_features(self):
         x = Tensor(np.random.default_rng(9).normal(size=(1, 2, 6, 6)), requires_grad=True)
         flow = np.random.default_rng(10).uniform(-1, 1, (2, 6, 6)).astype(np.float32)
-        warp_by_flow(x, flow).sum().backward()
+        tsum(warp_by_flow(x, flow)).backward()
         assert x.grad is not None and x.grad.shape == x.data.shape
+
+
+def running_best_flow(ref, frame):
+    """Reference block matcher: one strict-< sweep over the offsets, nearest first."""
+    block, radius = 8, 4
+    lead = np.broadcast_shapes(ref.shape[:-3], frame.shape[:-3])
+    height, width = ref.shape[-2:]
+    row_starts, col_starts = np.arange(0, height, block), np.arange(0, width, block)
+    padded = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(radius, radius)] * 2, mode="edge")
+    offsets = [(dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)]
+    best_sad = np.full(lead + (len(row_starts), len(col_starts)), np.inf)
+    best_dx, best_dy = np.zeros_like(best_sad), np.zeros_like(best_sad)
+    for dy, dx in sorted(offsets, key=lambda d: d[0] * d[0] + d[1] * d[1]):
+        shifted = padded[..., radius + dy : radius + dy + height, radius + dx : radius + dx + width]
+        diff = np.abs(ref - shifted).sum(axis=-3)
+        sad = np.add.reduceat(np.add.reduceat(diff, row_starts, axis=-2), col_starts, axis=-1)
+        better = sad < best_sad
+        best_sad[better] = sad[better]
+        best_dx[better] = dx
+        best_dy[better] = dy
+    best = np.stack([best_dx, best_dy], axis=-3).astype(np.float32)
+    return np.repeat(np.repeat(best, block, axis=-2), block, axis=-1)[..., :height, :width]
 
 
 class TestEstimateFlow:
@@ -154,7 +176,7 @@ class TestEstimateFlow:
         ref = rng.uniform(0, 1, (1, 24, 24))
         frame = np.zeros_like(ref)
         frame[:, :, 2:] = ref[:, :, :-2]
-        flow = estimate_flow(ref, frame, block=8, radius=4)
+        flow = estimate_flow(ref, frame)
         interior = flow[:, 4:20, 4:20]
         assert np.median(interior[0]) == 2.0
         assert np.median(interior[1]) == 0.0
@@ -163,7 +185,7 @@ class TestEstimateFlow:
         rng = np.random.default_rng(13)
         ref = rng.uniform(0, 1, (1, 24, 24))
         frame = np.roll(ref, shift=(1, -2), axis=(1, 2))
-        flow = estimate_flow(ref, frame, block=8, radius=4)
+        flow = estimate_flow(ref, frame)
         back = warp_by_flow(Tensor(frame[None]), flow).data[0]
         inner = (slice(None), slice(4, 20), slice(4, 20))
         assert np.allclose(back[inner], ref[inner], atol=1e-6)
@@ -172,7 +194,7 @@ class TestEstimateFlow:
         rng = np.random.default_rng(14)
         ref = rng.uniform(0, 1, (1, 16, 16))
         frame = rng.uniform(0, 1, (1, 16, 16))
-        flow = estimate_flow(ref, frame, block=8, radius=2)
+        flow = estimate_flow(ref, frame)
         for by in range(2):
             for bx in range(2):
                 tile = flow[:, by * 8 : by * 8 + 8, bx * 8 : bx * 8 + 8]
@@ -186,17 +208,35 @@ class TestEstimateFlow:
         rng = np.random.default_rng(15)
         noise = rng.normal(size=(2, 3, 20, 28)).astype(np.float32)
         cases = [
-            (noise, rng.normal(size=(4, 2, 3, 20, 28)).astype(np.float32), 4),
-            (noise, rng.normal(size=(4, 2, 3, 20, 28)).astype(np.float32), 2),
-            (np.full((2, 3, 20, 28), 0.5), np.full((4, 2, 3, 20, 28), 0.5), 4),
+            (noise, rng.normal(size=(4, 2, 3, 20, 28)).astype(np.float32)),
+            (np.full((2, 3, 20, 28), 0.5), np.full((4, 2, 3, 20, 28), 0.5)),
         ]
-        for ref, frames, radius in cases:
-            batched = estimate_flow(ref, frames, radius=radius)
+        for ref, frames in cases:
+            batched = estimate_flow(ref, frames)
             assert batched.shape == (4, 2, 2, 20, 28) and batched.dtype == np.float32
             for n in range(4):
                 for b in range(2):
-                    single = estimate_flow(ref[b], frames[n, b], radius=radius)
-                    assert np.array_equal(batched[n, b], single), (n, b, radius)
+                    single = estimate_flow(ref[b], frames[n, b])
+                    assert np.array_equal(batched[n, b], single), (n, b)
+
+    def test_matches_running_best_search(self):
+        # The SAD table and argmin must pick what a strict-< sweep over the
+        # offsets, nearest first, picks: ties go to the nearest offset.
+        rng = np.random.default_rng(16)
+        quantized = np.round(rng.uniform(0, 2, (2, 3, 24, 24)) * 2) / 2  # many near-ties
+        cases = [
+            (rng.normal(size=(3, 24, 24)), rng.normal(size=(3, 24, 24))),
+            (np.full((3, 16, 16), 0.25), np.full((3, 16, 16), 0.25)),  # every offset ties
+            (quantized[0], quantized[1]),
+            (rng.normal(size=(2, 20, 28)), rng.normal(size=(2, 20, 28))),  # partial edge blocks
+            (
+                rng.normal(size=(2, 3, 16, 24)).astype(np.float32),
+                rng.normal(size=(4, 2, 3, 16, 24)).astype(np.float32),
+            ),
+        ]
+        for ref, frame in cases:
+            want = running_best_flow(ref, frame)
+            assert estimate_flow(ref, frame).tobytes() == want.tobytes(), ref.shape
 
 
 class TestForward:
