@@ -5,7 +5,6 @@ blocks, preprocessing and alignment, loss/metrics, a synthetic dataset
 generator, a training loop, and a command-line front end.
 """
 
-from .gradcheck import finite_difference_check
 from .metrics import MetricReport, l1_tonemapped_loss, mu_law, psnr, psnr_mu, ssim, ssim_mu
 from .model import (
     ABLATION_VARIANTS,
@@ -41,7 +40,6 @@ __all__ = [
     "count_params",
     "estimate_flow",
     "evaluate",
-    "finite_difference_check",
     "forward",
     "generate_sample",
     "l1_tonemapped_loss",

@@ -43,7 +43,7 @@ RAW_CHANNELS = 4  # packed RGGB planes at half sensor resolution
 NUM_FRAMES = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class CRNetConfig:
     """Architecture hyperparameters; defaults give the full-size network."""
 
@@ -63,11 +63,8 @@ class CRNetConfig:
     gamma: float = 1.0 / 2.2
     mu: float = DEFAULT_MU
 
-    def validate(self) -> ParamSpec:
-        """Raise ValueError on a setting the network cannot be built from.
-
-        Returns the HFEM spec: building it is how the block rules are checked.
-        """
+    def __post_init__(self) -> None:
+        """Raise ValueError on a setting the network cannot be built from."""
         counts = ("base_channels", "n_ceb", "n_hfem", "attn_window", "attn_heads", "ffn_expansion", "ca_reduction")
         too_small = [name for name in counts if getattr(self, name) < 1]
         if too_small:
@@ -82,7 +79,7 @@ class CRNetConfig:
             raise ValueError(f"config: fusion_mode must be joint or recurrent, got {self.fusion_mode!r}")
         if not (0 < self.mu < math.inf and 0 < self.gamma < math.inf):
             raise ValueError("config: mu and gamma must be positive and finite")
-        return _hfem_spec(self)  # the block specs check the branch split, FFN and kernel modes and widths
+        _hfem_spec(self)  # the block specs check the branch split, FFN and kernel modes and widths
 
 
 # Read noise can swing a raw value slightly below the black point; frames
@@ -282,7 +279,7 @@ def _hfem_spec(cfg: CRNetConfig) -> ParamSpec:
 
 def param_spec(cfg: CRNetConfig) -> ParamSpec:
     """Ordered path -> shape layout of every learnable tensor for cfg."""
-    hfem = cfg.validate()
+    hfem = _hfem_spec(cfg)
     c = cfg.base_channels
     spec: ParamSpec = {}
     spec["shallow.weight"] = (c, 2 * RAW_CHANNELS, 3, 3)
@@ -400,6 +397,9 @@ def forward_batch(
     else:
         if len(flows) != len(stacks):
             raise ValueError(f"forward: {len(flows)} flow lists for {len(stacks)} stacks")
+        for b, sample in enumerate(flows):
+            if len(sample) != NUM_FRAMES:
+                raise ValueError(f"forward: flow list of sample {b} has {len(sample)} entries, need {NUM_FRAMES}")
         frame_flows = [
             np.stack([np.asarray(sample[i], dtype=np.float32) for sample in flows]) for i in range(1, NUM_FRAMES)
         ]

@@ -111,18 +111,15 @@ def build_run_config(values: Dict[str, object]) -> RunConfig:
     for key, value in values.items():
         prefix, name = key.split(".", 1)
         kwargs[prefix][name] = value
-    cfg = RunConfig(
-        model=CRNetConfig(**kwargs["model"]),
-        train=TrainConfig(**kwargs["train"]),
-        degrade=DegradeSpec(**kwargs["data"]),
-        scene=SceneSpec(**kwargs["scene"]),
-    )
-    for section in (cfg.model, cfg.train, cfg.degrade, cfg.scene):
-        try:
-            section.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return cfg
+    try:
+        return RunConfig(
+            model=CRNetConfig(**kwargs["model"]),
+            train=TrainConfig(**kwargs["train"]),
+            degrade=DegradeSpec(**kwargs["data"]),
+            scene=SceneSpec(**kwargs["scene"]),
+        )
+    except ValueError as exc:  # a section's __post_init__ rejected a value
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_entries(lines, path=None) -> Dict[str, object]:

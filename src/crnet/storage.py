@@ -77,11 +77,6 @@ def write_tensor(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(tensor_to_bytes(arr))
 
 
-def read_tensor(path) -> np.ndarray:
-    arr, _ = tensor_from_bytes(Path(path).read_bytes(), context=str(path))
-    return arr
-
-
 def write_archive(path, entries: Dict[str, np.ndarray]) -> None:
     """Write named tensors as one archive; iteration order is preserved."""
     blobs = []

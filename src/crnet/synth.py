@@ -33,7 +33,7 @@ def _default_motion() -> np.ndarray:
     return np.stack([0.5 * steps, 0.25 * steps], axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     seed: int = 0
     size: Tuple[int, int] = (64, 64)
@@ -43,7 +43,7 @@ class SceneSpec:
     dynamic_range: float = 16.0
     motion: np.ndarray = field(default_factory=_default_motion)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         h, w = self.size
         if h % 2 or w % 2 or h < 2 or w < 2:
             raise ValueError(f"scene: size {self.size} must be positive and even in both extents")
@@ -55,14 +55,14 @@ class SceneSpec:
             raise ValueError(f"scene: motion must be [{NUM_FRAMES}, 2] (dx, dy) rows")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradeSpec:
     exposure_times: Tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0)
     read_noise_sigma: float = 0.02
     shot_noise_scale: float = 0.01
     blur_taps: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         validate_exposure_times(self.exposure_times, "degrade")
         if self.blur_taps < 1:
             raise ValueError("degrade: blur_taps must be >= 1")
@@ -86,7 +86,6 @@ def generate_scene(spec: SceneSpec) -> np.ndarray:
     dynamic_range/256 (noise-dominated at the shortest exposure). Zero
     content counts give a uniform mid-gray field.
     """
-    spec.validate()
     h, w = spec.size
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), 0x5CEE]))
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -157,7 +156,6 @@ def render_bracket(
     to 12 bits (negative noise excursions below the black point are
     kept, the top clips at 1). rng draws the noise.
     """
-    degrade.validate()
     scene = np.asarray(scene, dtype=np.float64)
     if np.any(scene < 0):
         raise ValueError("render_bracket: scene radiance must be non-negative")

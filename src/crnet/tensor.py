@@ -65,7 +65,6 @@ class Tensor:
     requires_grad = _delegate("requires_grad")
     grad = _delegate("grad")
     _backward_fn = _delegate("_backward_fn")
-    _parents = property(lambda t: t.node._parents)
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -103,9 +102,6 @@ class Tensor:
 
     # -- graph mechanics ---------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        self.node._accumulate(g)
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
@@ -116,7 +112,7 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
         order = _toposort(self.node)  # root last
-        self._accumulate(np.ones_like(self.data))
+        self.node._accumulate(np.ones_like(self.data))
         if not self.requires_grad:
             self.grad = np.ones_like(self.data)
         while order:

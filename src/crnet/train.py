@@ -43,7 +43,7 @@ def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), purpose, int(index)]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     initial_lr: float = 1e-4
     lr_gamma: float = 0.5
@@ -59,7 +59,7 @@ class TrainConfig:
     augment: bool = True
     ckpt_every: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.crop % 2 != 0 or self.crop < 2:
             raise ValueError(f"train: crop must be even and >= 2, got {self.crop}")
         if self.epochs < 1 or self.batch < 1 or self.ckpt_every < 1:
@@ -261,7 +261,6 @@ def train(
     """
     if not dataset:
         raise ValueError("train: dataset is empty")
-    train_cfg.validate()
     if state is None:
         state = init_optim_state(params, train_cfg)
     for p in params.values():

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from crnet.tensor import Tensor
 
 
 def finite_difference_check(

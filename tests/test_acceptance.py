@@ -27,7 +27,6 @@ from crnet.blocks import (
     multi_branch_spec,
     window_self_attention,
 )
-from crnet.gradcheck import finite_difference_check
 from crnet.metrics import l1_tonemapped_loss, mu_law, psnr, psnr_mu, ssim
 from crnet.model import (
     ABLATION_VARIANTS,
@@ -63,6 +62,7 @@ from crnet.train import (
     save_checkpoint,
     train,
 )
+from tests.gradcheck import finite_difference_check
 from tests.test_metrics import ssim_loops
 from tests.test_train import desk_model_config, desk_train_config
 

@@ -26,7 +26,6 @@ from crnet.blocks import (
     scoped,
     window_self_attention,
 )
-from crnet.gradcheck import finite_difference_check
 from crnet.tensor import (
     Tensor,
     avg_pool2d,
@@ -39,6 +38,7 @@ from crnet.tensor import (
     tmean,
     tsum,
 )
+from tests.gradcheck import finite_difference_check
 
 F64 = np.float64
 

@@ -1,6 +1,8 @@
 """Command-line surface tests: exit codes, determinism, doc-sync."""
 
+import dataclasses
 import inspect
+import math
 import re
 import shutil
 import sys
@@ -9,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crnet
 from crnet import cli
 from crnet.model import CRNetConfig, count_params
 from crnet.runconfig import registry
-from crnet.storage import read_archive, read_tensor, write_archive
-from crnet.synth import read_dataset
+from crnet.storage import read_archive, tensor_from_bytes, write_archive
+from crnet.synth import DegradeSpec, SceneSpec, read_dataset
+from crnet.train import TrainConfig
 
 DESK = ["--preset", "desk"]
 
@@ -180,7 +184,7 @@ class TestTrainEvalInfer:
             )
             == 0
         )
-        prediction = read_tensor(out)
+        prediction = tensor_from_bytes(out.read_bytes())[0]
         assert prediction.shape[0] == 4 and prediction.min() >= 0.0
         pfm = out.with_suffix(".ch0.pfm").read_bytes()
         assert pfm.startswith(b"Pf\n")
@@ -199,7 +203,7 @@ class TestTrainEvalInfer:
         ckpt = workspace / "run" / "checkpoint.crt1a"
         assert run(["infer", "--stack", str(stack), "--ckpt", str(ckpt), "--out", str(out), *DESK]) == 0
         assert len(outputs) == 1
-        assert outputs[0]._parents == () and not outputs[0].requires_grad
+        assert outputs[0].node._parents == () and not outputs[0].requires_grad
 
     def test_numeric_failure_exit_code(self, workspace, tmp_path):
         # initial_lr = 1e39 is a finite Python float, but the first update
@@ -241,6 +245,15 @@ class TestAblateAndParams:
         assert exc.value.code == cli.EXIT_USAGE
 
 
+# One field of each config section and a value its check rejects.
+BAD_FIELD = [
+    (CRNetConfig, "n_ceb", 0),
+    (TrainConfig, "batch", 0),
+    (SceneSpec, "n_disks", -1),
+    (DegradeSpec, "blur_taps", 0),
+]
+
+
 class TestConfigSurface:
     @pytest.mark.parametrize(
         "pair",
@@ -279,8 +292,18 @@ class TestConfigSurface:
         ],
     )
     def test_unknown_key_is_usage_error(self, pair):
-        # An unknown key and a value its section's validate() rejects are both usage errors.
+        # An unknown key and a value its section rejects when built are both usage errors.
         assert run(["params", "--set", pair]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("cls, field, bad", BAD_FIELD)
+    def test_replace_checks_the_new_config(self, cls, field, bad):
+        with pytest.raises(ValueError):
+            dataclasses.replace(cls(), **{field: bad})
+
+    @pytest.mark.parametrize("cls, field, bad", BAD_FIELD)
+    def test_config_fields_cannot_be_assigned(self, cls, field, bad):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cls(), field, bad)
 
     def test_non_divisible_normal_bottleneck_is_usage_error(self):
         # 64 channels do not divide by an expansion of 3.
@@ -307,3 +330,12 @@ class TestConfigSurface:
         reg = registry()
         parsed = {k: _parse_value(k, _format_value(v), v) for k, v in reg.items()}
         build_run_config(parsed)
+
+
+class TestPackageSurface:
+    def test_readme_library_sketch_runs_and_exports_resolve(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(sketch, "README.md", "exec"), {})
+        assert math.isfinite(float(capsys.readouterr().out))
+        assert [name for name in crnet.__all__ if not hasattr(crnet, name)] == []

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from crnet.gradcheck import finite_difference_check
 from crnet.metrics import (
     MetricReport,
     compute_report,
@@ -19,6 +18,7 @@ from crnet.metrics import (
     ssim_mu,
 )
 from crnet.tensor import Tensor, tmean
+from tests.gradcheck import finite_difference_check
 
 F64 = np.float64
 

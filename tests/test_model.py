@@ -291,6 +291,14 @@ class TestForward:
         with pytest.raises(ValueError, match="1 flow lists for 2 stacks"):
             forward_batch(stacks, params, cfg, flows=flows[:1])
 
+    def test_short_flow_list_names_its_sample(self):
+        cfg = tiny_config()
+        params = build_params(cfg, seed=0)
+        field = np.zeros((2, 32, 32), np.float32)
+        flows = [[None] + [field] * 4, [None, field]]
+        with pytest.raises(ValueError, match="sample 1 has 2 entries, need 5"):
+            forward_batch([make_stack(seed=22), make_stack(seed=23)], params, cfg, flows=flows)
+
     def test_exposure_scaling_with_fixed_flows_identical(self):
         cfg = tiny_config()
         params = build_params(cfg, seed=0)

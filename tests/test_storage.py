@@ -10,7 +10,6 @@ from crnet import storage
 from crnet.storage import (
     FormatError,
     read_archive,
-    read_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
     write_archive,
@@ -25,7 +24,7 @@ class TestTensorContainer:
         arr = np.random.default_rng(0).normal(size=(2, 3, 4)).astype(dtype)
         path = tmp_path / "t.crt1"
         write_tensor(path, arr)
-        back = read_tensor(path)
+        back = tensor_from_bytes(path.read_bytes())[0]
         assert back.dtype == arr.dtype
         assert np.array_equal(back, arr)
 

@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 
-from crnet.gradcheck import finite_difference_check
 from crnet.tensor import (
     Tensor,
     _node,
@@ -28,6 +27,7 @@ from crnet.tensor import (
     tmean,
     tsum,
 )
+from tests.gradcheck import finite_difference_check
 
 F64 = np.float64
 
@@ -563,7 +563,7 @@ class TestBackward:
         del square
         root.backward()
         assert square_ref() is None
-        assert root._parents == ()
+        assert root.node._parents == ()
         # d/dx gelu(x*x) = gelu'(x*x) * 2x, with the tanh-form gelu'
         u = x.data * x.data
         t = np.tanh(0.7978845608028654 * (u + 0.044715 * u**3))
@@ -631,7 +631,7 @@ def gelu_stored_tanh(x: Tensor) -> Tensor:
         local = 0.5 * x.data * (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * square))
         local += 0.5 * (1.0 + t)
         local *= g
-        x._accumulate(local)
+        x.node._accumulate(local)
 
     return _node(data, (x,), backward)
 
@@ -644,7 +644,7 @@ def softmax_out_of_place(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        x._accumulate(s * (g - dot))
+        x.node._accumulate(s * (g - dot))
 
     return _node(s, (x,), backward)
 

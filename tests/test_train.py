@@ -52,6 +52,12 @@ def step_with(params, grads, state, lr=0.01, wd=0.0):
 
 
 class TestAdamW:
+    @pytest.mark.parametrize("setting", [{"beta1": 1.5}, {"eps": -1.0}])
+    def test_bad_settings_rejected_when_built(self, setting):
+        # adamw_step reads its settings unchecked: the config must refuse them.
+        with pytest.raises(ValueError, match="beta1"):
+            TrainConfig(**setting)
+
     def test_zero_grad_zero_decay_is_fixed_point(self):
         params = {"w": Tensor(np.full((1, 1), 2.0), requires_grad=True)}
         state = zero_state(params)
@@ -138,6 +144,11 @@ class TestLRSchedule:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             lr_at(-1, TrainConfig())
+
+    def test_zero_step_length_rejected_when_built(self):
+        # lr_at divides by lr_step_epochs unchecked.
+        with pytest.raises(ValueError, match="schedule"):
+            TrainConfig(lr_step_epochs=0)
 
 
 class FixedRng:
@@ -235,7 +246,7 @@ class TestTrainLoop:
         def recording(*args, **kwargs):
             alive_at_call.append([ref() is not None for ref in inner_nodes])
             out = original(*args, **kwargs)
-            inner = out._parents[0]  # a node inside the graph, not the output train() binds
+            inner = out.node._parents[0]  # a node inside the graph, not the output train() binds
             assert inner._parents
             inner_nodes.append(weakref.ref(inner))
             return out
@@ -311,7 +322,7 @@ class TestTrainLoop:
         # Adds 0 to the loss, but its backward deposits inf into one parameter.
         bad = resumed["fusion.conv1.bias"]
         spike = tensor_mod._node(
-            np.zeros((), np.float32), (bad,), lambda g: bad._accumulate(np.full_like(bad.data, np.inf))
+            np.zeros((), np.float32), (bad,), lambda g: bad.node._accumulate(np.full_like(bad.data, np.inf))
         )
         train_module = sys.modules["crnet.train"]
         original_loss = train_module.l1_tonemapped_loss
@@ -505,5 +516,5 @@ class TestEvaluate:
         monkeypatch.setattr(train_module, "forward", capture)
         evaluate([("s0", dataset[0])], params, cfg)
         assert len(outputs) == 1
-        assert outputs[0]._parents == () and not outputs[0].requires_grad
+        assert outputs[0].node._parents == () and not outputs[0].requires_grad
         assert np.array_equal(outputs[0].data, forward(dataset[0].stack, params, cfg).data)
