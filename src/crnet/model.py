@@ -98,32 +98,35 @@ def validate_exposure_times(times, where: str) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExposureStack:
-    """Five raw frames ordered shortest to longest exposure.
+    """Five raw frames ordered shortest to longest exposure, checked when built.
 
-    frames are [RAW_CHANNELS, H, W] arrays with values in [0, 1] (small
-    sub-black noise excursions allowed); the first frame is the
-    reference whose geometry the output follows.
+    frames is one read-only [NUM_FRAMES, RAW_CHANNELS, H, W] copy of what
+    the caller passed, with values in [0, 1] (small sub-black noise
+    excursions allowed); frame 0 is the reference whose geometry the
+    output follows. exposure_times is a read-only float64 copy.
     """
 
-    frames: List[np.ndarray]
+    frames: np.ndarray
     exposure_times: np.ndarray
 
-    def validate(self) -> None:
-        if len(self.frames) != NUM_FRAMES:
-            raise ValueError(f"stack: expected {NUM_FRAMES} frames, got {len(self.frames)}")
+    def __post_init__(self) -> None:
         validate_exposure_times(self.exposure_times, "stack")
-        shape = np.asarray(self.frames[0]).shape
-        for i, frame in enumerate(self.frames):
-            arr = np.asarray(frame)
-            if arr.shape != shape:
-                raise ValueError(f"stack: frame {i} shape {arr.shape} != frame 0 shape {shape}")
-            if arr.ndim != 3 or arr.shape[0] != RAW_CHANNELS:
-                raise ValueError(f"stack: frame {i} must be [{RAW_CHANNELS}, H, W], got {arr.shape}")
-            # Written so that NaN fails it: every comparison with NaN is false.
-            if arr.size and not (arr.min() >= -BLACK_POINT_TOLERANCE and arr.max() <= 1):
-                raise ValueError(f"stack: frame {i} has values outside [0, 1] or not finite")
+        try:
+            frames = np.array(self.frames, order="C")
+        except ValueError:
+            raise ValueError("stack: frames must share one shape") from None
+        if frames.ndim != 4 or frames.shape[:2] != (NUM_FRAMES, RAW_CHANNELS):
+            raise ValueError(f"stack: frames must be [{NUM_FRAMES}, {RAW_CHANNELS}, H, W], got {frames.shape}")
+        # NaN fails it, as every comparison with NaN is false; initial=0 lets empty frames pass.
+        low, high = frames.min(axis=(1, 2, 3), initial=0), frames.max(axis=(1, 2, 3), initial=0)
+        in_range = (low >= -BLACK_POINT_TOLERANCE) & (high <= 1)
+        if not in_range.all():
+            raise ValueError(f"stack: frame {np.argmin(in_range)} has values outside [0, 1] or not finite")
+        for name, arr in (("frames", frames), ("exposure_times", np.array(self.exposure_times, dtype=np.float64))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def preprocess(stack: ExposureStack, gamma: float, dtype=np.float32) -> np.ndarray:
@@ -134,18 +137,10 @@ def preprocess(stack: ExposureStack, gamma: float, dtype=np.float32) -> np.ndarr
     axis, so ratios (not absolute times) are what matter. The reference
     frame passes through unchanged in its first channels.
     """
-    stack.validate()
     dtype = np.dtype(dtype).type
-    times = np.asarray(stack.exposure_times, dtype=np.float64)
-    _, height, width = np.shape(stack.frames[0])
-    out = np.empty((NUM_FRAMES, 2 * RAW_CHANNELS, height, width), dtype=dtype)
-    for i in range(NUM_FRAMES):
-        ratio = float(times[i] / times[0])
-        raw = np.asarray(stack.frames[i], dtype=dtype)
-        normalized = np.maximum(raw / dtype(ratio), 0.0)
-        out[i, :RAW_CHANNELS] = normalized
-        out[i, RAW_CHANNELS:] = normalized ** dtype(gamma)
-    return out
+    ratios = (stack.exposure_times / stack.exposure_times[0]).astype(dtype)
+    normalized = np.maximum(np.asarray(stack.frames, dtype=dtype) / ratios[:, None, None, None], 0.0)
+    return np.concatenate([normalized, normalized ** dtype(gamma)], axis=1)
 
 
 # -- optical-flow style alignment ---------------------------------------------

@@ -29,9 +29,9 @@ _SECTIONS = (
     ("data", DegradeSpec),
     ("scene", SceneSpec),
 )
-# Not settable through the flat key space: per-sample seeds and motion
-# curves are derived, not configured.
-_EXCLUDED = {("scene", "seed"), ("scene", "motion")}
+# Not settable through the flat key space: per-sample seeds are derived,
+# not configured.
+_EXCLUDED = {("scene", "seed")}
 
 # Desk-scale preset (--preset desk): small enough that the full
 # acceptance run fits a laptop CPU budget.

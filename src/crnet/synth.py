@@ -13,7 +13,7 @@ exercise the pipeline, they do not reproduce any real capture process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -27,10 +27,8 @@ QUANT_LEVELS = 4095  # 12-bit raw
 BLUR_FRAMES = (3, 4)  # the two longest exposures pick up motion blur
 
 
-def _default_motion() -> np.ndarray:
-    # Linear drift of (0.5, 0.25) px per frame.
-    steps = np.arange(NUM_FRAMES, dtype=np.float64)
-    return np.stack([0.5 * steps, 0.25 * steps], axis=1)
+# Row i is frame i's (dx, dy) position: a linear drift of (0.5, 0.25) px per frame.
+MOTION = tuple((0.5 * i, 0.25 * i) for i in range(NUM_FRAMES))
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,6 @@ class SceneSpec:
     n_disks: int = 6
     n_edges: int = 3
     dynamic_range: float = 16.0
-    motion: np.ndarray = field(default_factory=_default_motion)
 
     def __post_init__(self) -> None:
         h, w = self.size
@@ -51,8 +48,6 @@ class SceneSpec:
             raise ValueError("scene: n_gradients, n_disks and n_edges must be >= 0")
         if not 1 < self.dynamic_range < np.inf:
             raise ValueError(f"scene: dynamic_range must be finite and exceed 1, got {self.dynamic_range}")
-        if np.asarray(self.motion).shape != (NUM_FRAMES, 2):
-            raise ValueError(f"scene: motion must be [{NUM_FRAMES}, 2] (dx, dy) rows")
 
 
 @dataclass(frozen=True)
@@ -70,12 +65,26 @@ class DegradeSpec:
             raise ValueError("degrade: noise values must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
-    """One dataset unit: a degraded bracket and its clean target."""
+    """One dataset unit: a degraded bracket and its clean target, checked when built.
+
+    ground_truth is a read-only [RAW_CHANNELS, H, W] copy at the frames'
+    extents, finite and >= 0.
+    """
 
     stack: ExposureStack
     ground_truth: np.ndarray
+
+    def __post_init__(self) -> None:
+        truth = np.array(self.ground_truth, order="C")
+        if truth.shape != self.stack.frames.shape[1:]:
+            raise ValueError(f"sample: ground truth {truth.shape} != frame shape {self.stack.frames.shape[1:]}")
+        # NaN fails it, as every comparison with NaN is false; initial=0 lets an empty truth pass.
+        if not (truth.min(initial=0) >= 0 and truth.max(initial=0) < np.inf):
+            raise ValueError("sample: ground truth must be finite and >= 0")
+        truth.flags.writeable = False
+        object.__setattr__(self, "ground_truth", truth)
 
 
 def generate_scene(spec: SceneSpec) -> np.ndarray:
@@ -192,14 +201,14 @@ def render_bracket(
         noisy = clean + (read + shot) / ratio
         quantized = np.minimum(np.round(noisy * QUANT_LEVELS) / QUANT_LEVELS, 1.0)
         frames.append(quantized.astype(np.float32))
-    return ExposureStack(frames=frames, exposure_times=times.copy())
+    return ExposureStack(frames=frames, exposure_times=times)
 
 
 def generate_sample(scene_spec: SceneSpec, degrade: DegradeSpec) -> SampleRecord:
     """Scene + bracket, fully determined by (scene_spec, degrade)."""
     scene = generate_scene(scene_spec)
     noise_rng = np.random.default_rng(np.random.SeedSequence([int(scene_spec.seed), 0xB1A5]))
-    stack = render_bracket(scene, degrade, np.asarray(scene_spec.motion), noise_rng)
+    stack = render_bracket(scene, degrade, np.array(MOTION), noise_rng)
     peak = max(float(scene.max()), 1.0)
     return SampleRecord(stack=stack, ground_truth=(scene / peak).astype(np.float32))
 
@@ -210,27 +219,31 @@ INDEX_NAME = "index.txt"
 
 
 def sample_to_entries(sample: SampleRecord) -> dict:
-    entries = {f"frame{i}": sample.stack.frames[i] for i in range(NUM_FRAMES)}
-    entries["exposure_times"] = np.asarray(sample.stack.exposure_times, dtype=np.float64)
-    entries["ground_truth"] = np.asarray(sample.ground_truth, dtype=np.float32)
-    return entries
+    entries = {f"frame{i}": frame for i, frame in enumerate(sample.stack.frames)}
+    return entries | {"exposure_times": sample.stack.exposure_times, "ground_truth": sample.ground_truth}
 
 
 def stack_from_entries(entries: dict, context: str) -> ExposureStack:
     for key in [f"frame{i}" for i in range(NUM_FRAMES)] + ["exposure_times"]:
         if key not in entries:
             raise FormatError(f"{context}: missing entry {key!r}")
-    return ExposureStack(
-        frames=[entries[f"frame{i}"].astype(np.float32) for i in range(NUM_FRAMES)],
-        exposure_times=entries["exposure_times"].astype(np.float64),
-    )
+    try:
+        return ExposureStack(
+            frames=[np.asarray(entries[f"frame{i}"], dtype=np.float32) for i in range(NUM_FRAMES)],
+            exposure_times=entries["exposure_times"],
+        )
+    except ValueError as exc:
+        raise FormatError(f"{context}: {exc}") from None
 
 
 def sample_from_entries(entries: dict, context: str) -> SampleRecord:
     stack = stack_from_entries(entries, context)
     if "ground_truth" not in entries:
         raise FormatError(f"{context}: missing entry 'ground_truth'")
-    return SampleRecord(stack=stack, ground_truth=entries["ground_truth"].astype(np.float32))
+    try:
+        return SampleRecord(stack=stack, ground_truth=np.asarray(entries["ground_truth"], dtype=np.float32))
+    except ValueError as exc:
+        raise FormatError(f"{context}: {exc}") from None
 
 
 def _is_plain_name(sid: str) -> bool:

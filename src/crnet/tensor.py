@@ -128,9 +128,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
     def reshape(self, shape):
         return reshape(self, shape)
 

@@ -211,17 +211,12 @@ def augment(sample: SampleRecord, rng: np.random.Generator, crop: int) -> Sample
     quarter_turns = int(rng.integers(0, 4))
 
     def apply(arr: np.ndarray) -> np.ndarray:
-        out = arr[:, oy : oy + crop, ox : ox + crop]
+        out = arr[..., oy : oy + crop, ox : ox + crop]
         if flip:
-            out = out[:, :, ::-1]
-        if quarter_turns:
-            out = np.rot90(out, quarter_turns, axes=(1, 2))
-        return np.ascontiguousarray(out)
+            out = out[..., ::-1]
+        return np.rot90(out, quarter_turns, axes=(-2, -1))
 
-    stack = ExposureStack(
-        frames=[apply(f) for f in sample.stack.frames],
-        exposure_times=np.asarray(sample.stack.exposure_times).copy(),
-    )
+    stack = ExposureStack(frames=apply(sample.stack.frames), exposure_times=sample.stack.exposure_times)
     return SampleRecord(stack=stack, ground_truth=apply(sample.ground_truth))
 
 

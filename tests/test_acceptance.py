@@ -49,6 +49,7 @@ from crnet.tensor import (
     global_avg_pool,
     matmul,
     max_pool2d,
+    mul,
     sigmoid,
     softmax,
     tabs,
@@ -115,14 +116,14 @@ def test_criterion_1_gradient_suite():
         flat = rng_tensor(rng, (3, 4, 5))
         fd("gelu", lambda t: tmean(gelu(t)), flat, 1e-6)
         fd("sigmoid", lambda t: tmean(sigmoid(t)), flat, 1e-6)
-        fd("softmax", lambda t: tmean(tsum(softmax(t, -1) * softmax(t, -1))), flat, 1e-6)
+        fd("softmax", lambda t: tmean(tsum(mul(softmax(t, -1), softmax(t, -1)))), flat, 1e-6)
         fd("abs", lambda t: tmean(tabs(t)), flat, 1e-6)
-        fd("mul/add", lambda t: tmean(t * t + t * 2.0), flat, 1e-6)
+        fd("mul/add", lambda t: tmean(mul(t, t) + mul(t, 2.0)), flat, 1e-6)
         a = rng_tensor(rng, (2, 3, 4))
         bmat = rng_tensor(rng, (2, 4, 5))
         fd("matmul", lambda t: tmean(matmul(t, bmat)), a, 1e-6)
         other = rng_tensor(rng, (3, 4, 5))
-        fd("concat", lambda t: tmean(concat([t, other], axis=0) * concat([other, t], axis=0)), flat, 1e-6)
+        fd("concat", lambda t: tmean(mul(concat([t, other], axis=0), concat([other, t], axis=0))), flat, 1e-6)
 
     # Blocks at [1, 4, 8, 8]: input plus every parameter tensor.
     x = rng_tensor(rng, (1, 4, 8, 8))

@@ -93,7 +93,8 @@ class TestGen:
         samples = read_dataset(workspace / "data")
         assert len(samples) == 2
         for _, sample in samples:
-            sample.stack.validate()
+            # Construction is the check: read_dataset builds checked stacks and samples.
+            assert sample.stack.frames.shape == (5, 4, 32, 32)
 
 
 class TestTrainEvalInfer:
@@ -158,6 +159,45 @@ class TestTrainEvalInfer:
             assert "[data]" in err and "non-finite" in err and "Traceback" not in err
             for key in ("'head.bias'", "'optim.m.head.bias'", "'optim.v.head.bias'"):
                 assert key in err
+
+    @staticmethod
+    def data_with_ground_truth(workspace, tmp_path, change):
+        """A copy of the workspace dataset whose second archive's ground truth is change(ground truth)."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        archive = data / "sample00001.crt1a"
+        entries = read_archive(archive)
+        entries["ground_truth"] = change(entries["ground_truth"])
+        write_archive(archive, entries)
+        return data, archive
+
+    def test_non_finite_ground_truth_is_data_error(self, workspace, tmp_path, capsys):
+        # eval used to print a nan row and exit 0; train used to stop on a
+        # NaN loss (exit 4) after one update.
+        def one_nan(truth):
+            truth[1, 2, 3] = np.nan
+            return truth
+
+        data, archive = self.data_with_ground_truth(workspace, tmp_path, one_nan)
+        commands = (
+            ["eval", "--data", str(data), "--ckpt", str(workspace / "run" / "checkpoint.crt1a")],
+            ["train", "--data", str(data), "--out", str(tmp_path / "r")],
+        )
+        for argv in commands:
+            assert run([*argv, *DESK]) == cli.EXIT_DATA, argv[0]
+            out, err = capsys.readouterr()
+            assert "nan" not in out and "trained" not in out, argv[0]
+            assert "[data]" in err and str(archive) in err and "ground truth" in err, argv[0]
+        assert not (tmp_path / "r" / "checkpoint.crt1a").exists()
+
+    def test_ground_truth_at_other_extents_is_data_error(self, workspace, tmp_path, capsys):
+        # It used to train to exit 0: augment cropped frames and truth to the truth's extents.
+        data, archive = self.data_with_ground_truth(workspace, tmp_path, lambda truth: truth[:, :16])
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "r"), *DESK]
+        assert run([*argv, "--set", "train.epochs=2", "--set", "train.batch=1"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "[data]" in err and str(archive) in err and "frame shape" in err
+        assert not (tmp_path / "r" / "checkpoint.crt1a").exists()
 
     def test_unusable_paths_are_data_errors(self, workspace, tmp_path, capsys):
         # A file where a directory belongs, and directories where files belong.

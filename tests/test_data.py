@@ -4,10 +4,11 @@ dataset directory format."""
 import numpy as np
 import pytest
 
-from crnet.model import CRNetConfig, preprocess
-from crnet.storage import FormatError
+from crnet.model import CRNetConfig, ExposureStack, preprocess
+from crnet.storage import FormatError, read_archive, write_archive
 from crnet.synth import (
     DegradeSpec,
+    SampleRecord,
     SceneSpec,
     generate_sample,
     generate_scene,
@@ -53,6 +54,14 @@ class TestGenerateScene:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
             generate_scene(SceneSpec(size=(63, 64)))
+
+    def test_specs_are_values(self):
+        # Motion is a module constant, so a spec holds no array: equal specs
+        # compare equal and hash alike, and a built spec cannot be changed.
+        assert SceneSpec(seed=1) == SceneSpec(seed=1)
+        assert SceneSpec(seed=1) != SceneSpec(seed=2)
+        assert hash(SceneSpec()) == hash(SceneSpec())
+        assert not hasattr(SceneSpec(), "motion")
 
     def test_low_dynamic_range_rejected(self):
         with pytest.raises(ValueError, match="dynamic_range"):
@@ -103,8 +112,9 @@ class TestRenderBracket:
         assert all(means[i + 1] >= means[i] for i in range(4))
 
     def test_output_satisfies_stack_invariants(self):
+        # Construction is the check: generate_sample builds a checked stack and sample.
         sample = generate_sample(SceneSpec(seed=8), DegradeSpec())
-        sample.stack.validate()
+        assert sample.stack.frames.shape == (5, 4, 64, 64)
 
     def test_blur_smears_long_frames(self):
         scene = generate_scene(SceneSpec(seed=9))
@@ -140,6 +150,32 @@ class TestGroundTruthProperties:
             assert np.array_equal(fa, fb)
 
 
+class TestSampleRecord:
+    def make_sample(self, truth=None):
+        sample = generate_sample(SceneSpec(seed=12, size=(16, 16)), DegradeSpec())
+        truth = sample.ground_truth if truth is None else truth
+        return SampleRecord(stack=sample.stack, ground_truth=truth)
+
+    def test_ground_truth_is_a_read_only_copy(self):
+        truth = generate_sample(SceneSpec(seed=12, size=(16, 16)), DegradeSpec()).ground_truth.copy()
+        sample = self.make_sample(truth)
+        truth[:] = np.nan
+        assert np.isfinite(sample.ground_truth).all()
+        with pytest.raises(ValueError, match="read-only"):
+            sample.ground_truth[0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_ground_truth_rejected(self, bad):
+        truth = np.full((4, 16, 16), 0.5, np.float32)
+        truth[2, 3, 4] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            self.make_sample(truth)
+
+    def test_ground_truth_at_other_extents_rejected(self):
+        with pytest.raises(ValueError, match="frame shape"):
+            self.make_sample(np.zeros((4, 8, 16), np.float32))
+
+
 class TestDatasetFiles:
     def test_roundtrip_bit_exact_on_10_samples(self, tmp_path):
         samples = [generate_sample(SceneSpec(seed=i), DegradeSpec()) for i in range(10)]
@@ -162,6 +198,19 @@ class TestDatasetFiles:
         target = tmp_path / "sample00000.crt1a"
         target.write_bytes(target.read_bytes()[:-64])
         with pytest.raises(FormatError, match="sample00000"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [("ground_truth", np.nan, "ground truth"), ("frame2", 1.5, "frame 2")],
+    )
+    def test_bad_values_rejected_naming_file(self, tmp_path, entry, value, message):
+        write_dataset([generate_sample(SceneSpec(seed=0, size=(16, 16)), DegradeSpec())], tmp_path)
+        target = tmp_path / "sample00000.crt1a"
+        entries = read_archive(target)
+        entries[entry][0, 1, 2] = value
+        write_archive(target, entries)
+        with pytest.raises(FormatError, match=f"sample00000.crt1a: .*{message}"):
             read_dataset(tmp_path)
 
     def test_missing_archive_rejected(self, tmp_path):

@@ -33,9 +33,13 @@ def tiny_config(**extra):
     return CRNetConfig(**base)
 
 
-def make_stack(seed=0, size=32, times=(1.0, 4.0, 16.0, 64.0, 256.0)):
+def make_frames(seed=0, size=32):
     rng = np.random.default_rng(seed)
-    frames = [rng.uniform(0, 1, (RAW_CHANNELS, size, size)).astype(np.float32) for _ in range(5)]
+    return [rng.uniform(0, 1, (RAW_CHANNELS, size, size)).astype(np.float32) for _ in range(5)]
+
+
+def make_stack(seed=0, size=32, times=(1.0, 4.0, 16.0, 64.0, 256.0), frames=None):
+    frames = make_frames(seed, size) if frames is None else frames
     return ExposureStack(frames=frames, exposure_times=np.asarray(times, dtype=np.float64))
 
 
@@ -46,17 +50,17 @@ class TestPreprocess:
         assert np.array_equal(pre[0][:RAW_CHANNELS], stack.frames[0])
 
     def test_zero_maps_to_zero(self):
-        stack = make_stack(seed=2)
-        stack.frames[2] = np.zeros_like(stack.frames[2])
-        pre = preprocess(stack, GAMMA)
+        frames = make_frames(seed=2)
+        frames[2] = np.zeros_like(frames[2])
+        pre = preprocess(make_stack(frames=frames), GAMMA)
         assert np.array_equal(pre[2], np.zeros_like(pre[2]))
 
     def test_frozen_scalar_oracle(self):
         # 0.25 at exposure ratio 4 -> 0.0625; 0.0625^(1/2.2) evaluated to
         # 40 digits ahead of time.
-        stack = make_stack(seed=3, times=(1.0, 4.0, 8.0, 16.0, 32.0))
-        stack.frames[1] = np.full_like(stack.frames[1], 0.25)
-        pre = preprocess(stack, GAMMA)
+        frames = make_frames(seed=3)
+        frames[1] = np.full_like(frames[1], 0.25)
+        pre = preprocess(make_stack(times=(1.0, 4.0, 8.0, 16.0, 32.0), frames=frames), GAMMA)
         assert pre[1][:RAW_CHANNELS] == pytest.approx(0.0625, abs=1e-7)
         assert pre[1][RAW_CHANNELS:] == pytest.approx(0.2835781305488656, abs=1e-6)
 
@@ -67,20 +71,48 @@ class TestPreprocess:
 
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            make_stack(times=(1.0, 4.0, 4.0, 64.0, 256.0)).validate()
+            make_stack(times=(1.0, 4.0, 4.0, 64.0, 256.0))
 
     @pytest.mark.parametrize("times", [(1, 2, np.nan, 4, 5), (1, 2, 3, 4, np.inf)], ids=["nan", "inf"])
     def test_non_finite_times_rejected(self, times):
-        # Both used to pass validate(), and preprocess then returned non-finite values.
+        # Both used to pass the stack check, and preprocess then returned non-finite values.
         with pytest.raises(ValueError, match="increasing"):
             preprocess(make_stack(seed=6, times=times), GAMMA)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.5])
     def test_non_finite_or_out_of_range_frame_rejected(self, bad):
-        stack = make_stack(seed=7)
-        stack.frames[3][1, 5, 9] = bad
+        frames = make_frames(seed=7)
+        frames[3][1, 5, 9] = bad
         with pytest.raises(ValueError, match="frame 3"):
-            stack.validate()
+            make_stack(frames=frames)
+
+    def test_arrays_are_read_only(self):
+        stack = make_stack(seed=8)
+        with pytest.raises(ValueError, match="read-only"):
+            stack.frames[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            stack.exposure_times[0] = 2.0
+        assert stack.frames.shape == (5, RAW_CHANNELS, 32, 32)
+        assert stack.exposure_times.dtype == np.float64
+
+    def test_caller_frames_changed_after_construction_leave_stack_unchanged(self):
+        frames = make_frames(seed=9)
+        stack = make_stack(frames=frames)
+        before = stack.frames.copy()
+        frames[0][:] = np.nan
+        frames[1] = np.zeros_like(frames[1])
+        assert np.array_equal(stack.frames, before)
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_wrong_frame_count_rejected(self, count):
+        with pytest.raises(ValueError, match=r"frames must be \[5, 4, H, W\]"):
+            make_stack(frames=(make_frames(seed=10) * 2)[:count])
+
+    def test_ragged_frames_rejected(self):
+        frames = make_frames(seed=11)
+        frames[2] = frames[2][:, :16]
+        with pytest.raises(ValueError, match="one shape"):
+            make_stack(frames=frames)
 
     def test_exposure_scale_invariance(self):
         stack_a = make_stack(seed=5)

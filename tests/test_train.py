@@ -218,9 +218,11 @@ class TestAugment:
             augment(self.make_sample(), np.random.default_rng(0), crop=64)
 
     def test_augmented_sample_keeps_invariants(self):
+        # Construction is the check: augment returns a checked stack and sample.
         sample = self.make_sample(seed=5)
         out = augment(sample, np.random.default_rng(1), crop=8)
-        out.stack.validate()
+        assert out.stack.frames.shape == (5, 4, 8, 8)
+        assert out.ground_truth.shape == (4, 8, 8)
 
 
 def tiny_setup(n_samples=2, size=32):
