@@ -67,7 +67,8 @@ def materialize(spec: ParamSpec, rng: np.random.Generator, dtype=np.float32) -> 
     return params
 
 
-def _conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
+def conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
+    """Layout of one dense k x k conv layer: weight [cout, cin, k, k], bias [cout]."""
     return {"weight": (cout, cin, k, k), "bias": (cout,)}
 
 
@@ -107,7 +108,7 @@ def frequency_separate(x: Tensor, pool_kind: str) -> Tuple[Tensor, Tensor]:
 def attention_spec(c: int) -> ParamSpec:
     spec: ParamSpec = {}
     for name in ("q", "k", "v", "proj"):
-        spec.update(prefixed(_conv_spec(c, c, 1), f"{name}."))
+        spec.update(prefixed(conv_spec(c, c, 1), f"{name}."))
     return spec
 
 
@@ -165,9 +166,9 @@ def multi_branch_spec(c: int, split: Tuple[int, int]) -> ParamSpec:
     n_a, n_b = split
     spec: ParamSpec = {}
     for j in range(n_a):
-        spec.update(prefixed(_conv_spec(c, c, 3), f"branchA.conv{j}."))
+        spec.update(prefixed(conv_spec(c, c, 3), f"branchA.conv{j}."))
     for j in range(n_b):
-        spec.update(prefixed(_conv_spec(c, c, 3), f"branchB.conv{j}."))
+        spec.update(prefixed(conv_spec(c, c, 3), f"branchB.conv{j}."))
     return spec
 
 
@@ -198,8 +199,8 @@ def multi_branch_block(x: Tensor, params: Params, split: Tuple[int, int]) -> Ten
 def channel_attention_spec(c: int, reduction: int) -> ParamSpec:
     if c % reduction != 0:
         raise ValueError(f"channel_attention_spec: {c} channels not divisible by reduction {reduction}")
-    spec = prefixed(_conv_spec(c // reduction, c, 1), "fc1.")
-    spec.update(prefixed(_conv_spec(c, c // reduction, 1), "fc2."))
+    spec = prefixed(conv_spec(c // reduction, c, 1), "fc1.")
+    spec.update(prefixed(conv_spec(c, c // reduction, 1), "fc2."))
     return spec
 
 
@@ -213,9 +214,9 @@ def channel_attention(x: Tensor, params: Params) -> Tensor:
 
 
 def freq_fuse_spec(c: int, reduction: int) -> ParamSpec:
-    spec = prefixed(_conv_spec(c, 2 * c, 3), "conv3.")
+    spec = prefixed(conv_spec(c, 2 * c, 3), "conv3.")
     spec.update(prefixed(channel_attention_spec(c, reduction), "ca."))
-    spec.update(prefixed(_conv_spec(c, c, 1), "conv1."))
+    spec.update(prefixed(conv_spec(c, c, 1), "conv1."))
     return spec
 
 
@@ -249,8 +250,8 @@ def conv_ffn_spec(c: int, mode: str, expansion: int) -> ParamSpec:
         mid = c
     else:
         raise ValueError(f"conv_ffn_spec: unknown mode {mode!r}")
-    spec = prefixed(_conv_spec(mid, c, 1), "fc1.")
-    spec.update(prefixed(_conv_spec(c, mid, 1), "fc2."))
+    spec = prefixed(conv_spec(mid, c, 1), "fc1.")
+    spec.update(prefixed(conv_spec(c, mid, 1), "fc2."))
     return spec
 
 
@@ -272,10 +273,10 @@ CEB_DW_KERNELS = {"dw7": (7,), "three_dw3": (3, 3, 3), "dw5_dw3": (5, 3)}
 def ceb_spec(c: int, kernel_mode: str, ffn_mode: str, expansion: int) -> ParamSpec:
     if kernel_mode not in CEB_DW_KERNELS:
         raise ValueError(f"ceb_spec: unknown kernel mode {kernel_mode!r}")
-    spec = prefixed(_conv_spec(c, c, 1), "pw_in.")
+    spec = prefixed(conv_spec(c, c, 1), "pw_in.")
     for j, k in enumerate(CEB_DW_KERNELS[kernel_mode]):
         spec.update(prefixed({"weight": (c, 1, k, k), "bias": (c,)}, f"dw{j}."))
-    spec.update(prefixed(_conv_spec(c, c, 1), "pw_out."))
+    spec.update(prefixed(conv_spec(c, c, 1), "pw_out."))
     spec.update(prefixed(conv_ffn_spec(c, ffn_mode, expansion), "ffn."))
     return spec
 

@@ -42,16 +42,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=["desk"], help="apply a named config preset first")
 
 
-def _resolve(args) -> runconfig.RunConfig:
-    return runconfig.resolve(args.config, args.overrides, args.preset)
-
-
 def _sample_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1, np.uint64)[0])
 
 
-def cmd_gen(args) -> int:
-    cfg = _resolve(args)
+def cmd_gen(args, cfg: runconfig.RunConfig) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
@@ -74,8 +69,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
+def cmd_train(args, cfg: runconfig.RunConfig) -> int:
     dataset = [sample for _, sample in synth.read_dataset(args.data)]
     if args.resume:
         params, state = load_checkpoint(args.resume, cfg.model)
@@ -89,8 +83,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(args)
+def cmd_eval(args, cfg: runconfig.RunConfig) -> int:
     dataset = synth.read_dataset(args.data)
     params, _ = load_checkpoint(args.ckpt, cfg.model)
     reports, mean = evaluate(dataset, params, cfg.model)
@@ -101,8 +94,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    cfg = _resolve(args)
+def cmd_infer(args, cfg: runconfig.RunConfig) -> int:
     stack = synth.stack_from_entries(read_archive(args.stack), context=str(args.stack))
     params, _ = load_checkpoint(args.ckpt, cfg.model)
     frozen = {path: Tensor(p.data) for path, p in params.items()}
@@ -115,8 +107,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = _resolve(args)
+def cmd_ablate(args, cfg: runconfig.RunConfig) -> int:
     variant_cfg, params = model_mod.build_ablation_variant(args.variant, cfg.model, seed=cfg.train.seed)
     dataset_pairs = synth.read_dataset(args.data)
     dataset = [sample for _, sample in dataset_pairs]
@@ -130,8 +121,7 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_params(args) -> int:
-    cfg = _resolve(args)
+def cmd_params(args, cfg: runconfig.RunConfig) -> int:
     spec = model_mod.param_spec(cfg.model)
     groups: dict = {}
     for path, shape in spec.items():
@@ -203,7 +193,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, runconfig.resolve(args.config, args.overrides, args.preset))
     except ConfigError as exc:
         print(f"crnet: error: [usage] {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ from .blocks import (
     ParamSpec,
     conv,
     conv_enhancement_block,
+    conv_spec,
     freq_fuse,
     frequency_separate,
     materialize,
@@ -37,7 +38,7 @@ from .blocks import (
     window_self_attention,
 )
 from .metrics import DEFAULT_MU
-from .tensor import Tensor, _node, clamp_min, concat, gelu
+from .tensor import Tensor, _neighbours, _node, clamp_min, concat, gelu
 
 RAW_CHANNELS = 4  # packed RGGB planes at half sensor resolution
 NUM_FRAMES = 5
@@ -171,16 +172,9 @@ def warp_by_flow(feature: Tensor, flow: np.ndarray) -> Tensor:
     if not np.all(np.isfinite(flow)):
         raise ValueError("warp_by_flow: flow contains non-finite values")
     dtype = feature.data.dtype
-    xs = np.arange(width, dtype=np.float64)[None, None, :]
-    ys = np.arange(height, dtype=np.float64)[None, :, None]
-    sx = np.clip(xs + flow[:, 0], 0.0, width - 1.0)
-    sy = np.clip(ys + flow[:, 1], 0.0, height - 1.0)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    wx = (sx - x0).astype(dtype)[:, None]
-    wy = (sy - y0).astype(dtype)[:, None]
+    x0, x1, wx = _neighbours(np.arange(width, dtype=np.float64)[None, None, :] + flow[:, 0], width)
+    y0, y1, wy = _neighbours(np.arange(height, dtype=np.float64)[None, :, None] + flow[:, 1], height)
+    wx, wy = wx.astype(dtype)[:, None], wy.astype(dtype)[:, None]
     # Flat pixel index of the four neighbours, [B, H*W] each: 00, 01, 10, 11.
     corners = [(y * width + x).reshape(batch, -1) for y in (y0, y1) for x in (x0, x1)]
     planes = feature.data.reshape(batch, channels, height * width)
@@ -256,19 +250,14 @@ def estimate_flow(ref, frame) -> np.ndarray:
 
 def _hfem_spec(cfg: CRNetConfig) -> ParamSpec:
     c = cfg.base_channels
-    spec: ParamSpec = {}
-    spec.update(prefixed(blocks.attention_spec(c), "attn."))
-    spec.update(prefixed(blocks.multi_branch_spec(c, cfg.mbb_split), "mbb_high0."))
+    mbb = blocks.multi_branch_spec(c, cfg.mbb_split)
+    spec = prefixed(blocks.attention_spec(c), "attn.") | prefixed(mbb, "mbb_high0.")
     for j in range(3):
-        spec.update(prefixed(blocks.multi_branch_spec(c, cfg.mbb_split), f"mbb_low{j}."))
-    spec.update(prefixed(blocks.freq_fuse_spec(c, cfg.ca_reduction), "fuse."))
+        spec |= prefixed(mbb, f"mbb_low{j}.")
+    spec |= prefixed(blocks.freq_fuse_spec(c, cfg.ca_reduction), "fuse.")
+    ceb = blocks.ceb_spec(c, cfg.ceb_kernel_mode, cfg.ffn_mode, cfg.ffn_expansion)
     for j in range(cfg.n_ceb):
-        spec.update(
-            prefixed(
-                blocks.ceb_spec(c, cfg.ceb_kernel_mode, cfg.ffn_mode, cfg.ffn_expansion),
-                f"ceb{j}.",
-            )
-        )
+        spec |= prefixed(ceb, f"ceb{j}.")
     return spec
 
 
@@ -276,21 +265,17 @@ def param_spec(cfg: CRNetConfig) -> ParamSpec:
     """Ordered path -> shape layout of every learnable tensor for cfg."""
     hfem = _hfem_spec(cfg)
     c = cfg.base_channels
-    spec: ParamSpec = {}
-    spec["shallow.weight"] = (c, 2 * RAW_CHANNELS, 3, 3)
-    spec["shallow.bias"] = (c,)
-    spec["reduce.weight"] = (c, NUM_FRAMES * c, 1, 1)
-    spec["reduce.bias"] = (c,)
+    spec = prefixed(conv_spec(c, 2 * RAW_CHANNELS, 3), "shallow.")
+    spec |= prefixed(conv_spec(c, NUM_FRAMES * c, 1), "reduce.")
     for i in range(cfg.n_hfem):
-        spec.update(prefixed(hfem, f"hfem{i}."))
-    spec["ref_proc.weight"] = (c, c, 3, 3)
-    spec["ref_proc.bias"] = (c,)
-    spec["fusion.conv0.weight"] = (c, (cfg.n_hfem + 1) * c, 3, 3)
-    spec["fusion.conv0.bias"] = (c,)
-    spec["fusion.conv1.weight"] = (c, c, 3, 3)
-    spec["fusion.conv1.bias"] = (c,)
-    spec["head.weight"] = (RAW_CHANNELS, c, 3, 3)
-    spec["head.bias"] = (RAW_CHANNELS,)
+        spec |= prefixed(hfem, f"hfem{i}.")
+    for key, cout, cin in (
+        ("ref_proc", c, c),
+        ("fusion.conv0", c, (cfg.n_hfem + 1) * c),
+        ("fusion.conv1", c, c),
+        ("head", RAW_CHANNELS, c),
+    ):
+        spec |= prefixed(conv_spec(cout, cin, 3), f"{key}.")
     return spec
 
 
@@ -304,20 +289,19 @@ def count_params(cfg: CRNetConfig) -> int:
     return blocks.count_spec(param_spec(cfg))
 
 
-def validate_params(params: Params, cfg: CRNetConfig) -> None:
-    """Reject a params/config mismatch, listing every missing, unexpected
-    and wrongly shaped path in one error."""
-    spec = param_spec(cfg)
-    missing = [path for path in spec if path not in params]
-    unexpected = [path for path in params if path not in spec]
+def validate_params(entries, spec: ParamSpec) -> None:
+    """Reject entries (path -> array or Tensor) whose layout is not spec,
+    listing every missing, unexpected and wrongly shaped path in one error."""
+    missing = [path for path in spec if path not in entries]
+    unexpected = [path for path in entries if path not in spec]
     wrong_shape = [
-        f"{path!r} is {tuple(params[path].shape)}, expected {shape}"
+        f"{path!r} is {tuple(entries[path].shape)}, expected {shape}"
         for path, shape in spec.items()
-        if path in params and tuple(params[path].shape) != shape
+        if path in entries and tuple(entries[path].shape) != shape
     ]
     if missing or unexpected or wrong_shape:
         raise ValueError(
-            f"params do not match the config: missing={missing} unexpected={unexpected} "
+            f"entries do not match the layout: missing={missing} unexpected={unexpected} "
             f"wrong shape=[{', '.join(wrong_shape)}]"
         )
 
@@ -363,7 +347,7 @@ def forward_batch(
     features, or one list per sample with a [2, H, W] field for every
     frame (entry 0, the reference, is ignored).
     """
-    validate_params(params, cfg)
+    validate_params(params, param_spec(cfg))
     if not stacks:
         raise ValueError("forward: need at least one stack")
     # The graph's precision follows the parameters (float64 during

@@ -27,24 +27,22 @@ class _Node:
 
     Parents and backward closures hold nodes, so an op's output array lives
     only as long as its Tensor or a closure whose formula reads it.
+    Gradients are handed over, not copied: the first one is stored as given
+    and later ones are added out of place, so no backward closure may write
+    into the gradient it received, or into an array it has handed on.
     """
 
-    __slots__ = ("requires_grad", "grad", "dtype", "_parents", "_backward_fn", "__weakref__")
+    __slots__ = ("requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
 
-    def __init__(self, requires_grad: bool, dtype):
+    def __init__(self, requires_grad: bool):
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self.dtype = dtype
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.dtype)  # a copy: g may be another node's buffer
-        else:
-            self.grad += g
+        if self.requires_grad:
+            self.grad = g if self.grad is None else self.grad + g
 
 
 def _delegate(name: str) -> property:
@@ -57,9 +55,11 @@ class Tensor:
     data is contiguous row-major; image tensors use [B, C, H, W] with
     width innermost. ``grad`` stays ``None`` until a backward pass
     deposits something, and a tensor created with requires_grad=False
-    never accumulates gradient. Gradient state lives on ``node``; an op
-    keeps only the arrays its backward reads, so an intermediate output
-    is freed as soon as the forward code drops its Tensor.
+    never accumulates gradient. ``grad`` may be a read-only view or an
+    array another tensor's ``grad`` shares: copy it before writing into
+    it. Gradient state lives on ``node``; an op keeps only the arrays its
+    backward reads, so an intermediate output is freed as soon as the
+    forward code drops its Tensor.
     """
 
     requires_grad = _delegate("requires_grad")
@@ -71,7 +71,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
-        self.node = _Node(bool(requires_grad), arr.dtype)
+        self.node = _Node(bool(requires_grad))
 
     @property
     def shape(self) -> tuple:
@@ -640,17 +640,20 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # -- bilinear upsampling ----------------------------------------------------
 
 
+def _neighbours(src: np.ndarray, n: int):
+    """(floor, next index clamped to n - 1, fraction) of float64 positions on an
+    axis of n samples; positions are clipped to [0, n - 1], so edges replicate."""
+    src = np.clip(src, 0.0, n - 1.0)
+    lo = np.floor(src).astype(np.intp)
+    return lo, np.minimum(lo + 1, n - 1), src - lo
+
+
 def _interp_axis(n_out: int, n_in: int):
     """Neighbour indices and fractions for align-corners=false sampling.
 
-    Sample centers sit at (i + 0.5) * n_in / n_out - 0.5, clamped to the
-    valid range so edges replicate.
+    Sample centers sit at (i + 0.5) * n_in / n_out - 0.5.
     """
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    lo = np.floor(src).astype(np.intp)
-    hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, src - lo
+    return _neighbours((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5, n_in)
 
 
 def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:

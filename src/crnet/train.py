@@ -10,7 +10,7 @@ the run and leaves the last good checkpoint in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +25,7 @@ from .model import (
     param_spec,
     validate_params,
 )
-from .blocks import Params
+from .blocks import Params, prefixed
 from .storage import FormatError, read_archive, write_archive
 from .synth import SampleRecord
 from .tensor import Tensor
@@ -157,40 +157,38 @@ def save_checkpoint(path, params: Params, state: OptimState) -> None:
 
 
 def load_checkpoint(path, cfg: CRNetConfig) -> Tuple[Params, OptimState]:
-    """Load params + optimizer state, validating against cfg's layout.
+    """Load params + optimizer state, checked against cfg's layout.
 
-    A parameter layout mismatch raises ValueError listing every missing,
-    unexpected and wrongly shaped path. A missing or malformed step, Adam
-    moments whose layout or dtype differs from their parameters', or a
-    non-finite parameter or moment raise FormatError naming the entries.
+    The archive must hold each parameter of param_spec(cfg), the step and
+    one Adam moment pair per parameter, all in the first parameter's
+    dtype. Every fault is a FormatError naming the archive: a missing
+    step (an older format), the missing, unexpected and wrongly shaped
+    entries in one list, a step that is not a count, the entries of
+    another dtype, or the entries holding non-finite values.
     """
     entries = read_archive(path)
-    stored = {k: v for k, v in entries.items() if not k.startswith("optim.")}
-    try:
-        validate_params(stored, cfg)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {path}: {exc}") from None
     if _OPT_STEP not in entries:
         raise FormatError(f"checkpoint {path}: no {_OPT_STEP!r} entry (checkpoints from before it are not read)")
+    spec = param_spec(cfg)
+    layout = spec | {_OPT_STEP: ()} | prefixed(spec, "optim.m.") | prefixed(spec, "optim.v.")
+    try:
+        validate_params(entries, layout)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from None
     step = entries[_OPT_STEP]
-    if step.shape != () or not (step >= 0 and float(step).is_integer()):
+    if not (step >= 0 and float(step).is_integer()):
         raise FormatError(f"checkpoint {path}: {_OPT_STEP} must be one finite integer >= 0, got {step!r}")
-    moments = {}
-    for name in ("m", "v"):
-        prefix = f"optim.{name}."
-        moments[name] = {k[len(prefix) :]: a for k, a in entries.items() if k.startswith(prefix)}
-        try:
-            validate_params(moments[name], cfg)
-        except ValueError as exc:
-            raise FormatError(f"checkpoint {path}: {prefix}*: {exc}") from None
-        unlike = [prefix + k for k, a in moments[name].items() if a.dtype != stored[k].dtype]
-        if unlike:
-            raise FormatError(f"checkpoint {path}: {unlike} differ in dtype from their parameters")
+    first = next(iter(spec))
+    dtype = entries[first].dtype
+    unlike = [k for k in layout if k != _OPT_STEP and entries[k].dtype != dtype]
+    if unlike:
+        raise FormatError(f"checkpoint {path}: {unlike} differ in dtype from {first!r} ({dtype})")
     non_finite = [k for k, a in entries.items() if not np.isfinite(a).all()]
     if non_finite:
         raise FormatError(f"checkpoint {path}: {non_finite} hold non-finite values")
-    params: Params = {k: Tensor(stored[k], requires_grad=True) for k in param_spec(cfg)}
-    return params, OptimState(m=moments["m"], v=moments["v"], step=int(step))
+    params: Params = {k: Tensor(entries[k], requires_grad=True) for k in spec}
+    m, v = ({k: entries[f"optim.{name}.{k}"] for k in spec} for name in ("m", "v"))
+    return params, OptimState(m=m, v=v, step=int(step))
 
 
 # -- augmentation ----------------------------------------------------------------
@@ -325,9 +323,6 @@ def evaluate(
         prediction = forward(sample.stack, frozen, model_cfg)
         reports.append((sample_id, compute_report(prediction.data, sample.ground_truth, model_cfg.mu)))
     mean = MetricReport(
-        psnr_linear=float(np.mean([r.psnr_linear for _, r in reports])),
-        psnr_mu=float(np.mean([r.psnr_mu for _, r in reports])),
-        ssim_linear=float(np.mean([r.ssim_linear for _, r in reports])),
-        ssim_mu=float(np.mean([r.ssim_mu for _, r in reports])),
+        **{f.name: float(np.mean([getattr(r, f.name) for _, r in reports])) for f in fields(MetricReport)}
     )
     return reports, mean

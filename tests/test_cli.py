@@ -141,6 +141,24 @@ class TestTrainEvalInfer:
             err = capsys.readouterr().err
             assert "[data]" in err and "optim" in err and "Traceback" not in err, name
 
+    def test_mixed_dtype_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        # It used to load, and eval and train --resume then stopped with
+        # "tensors in one graph must share one dtype", naming neither archive nor entry.
+        entries = read_archive(workspace / "run" / "checkpoint.crt1a")
+        ckpt = tmp_path / "mixed.crt1a"
+        keys = ("head.weight", "optim.m.head.weight", "optim.v.head.weight")
+        write_archive(ckpt, {k: v.astype(np.float64) if k in keys else v for k, v in entries.items()})
+        data = str(workspace / "data")
+        commands = (
+            ["eval", "--data", data, "--ckpt", str(ckpt)],
+            ["train", "--data", data, "--out", str(tmp_path / "r"), "--resume", str(ckpt)],
+        )
+        for argv in commands:
+            assert run([*argv, *DESK]) == cli.EXIT_DATA, argv[0]
+            err = capsys.readouterr().err
+            assert "[data]" in err and str(ckpt) in err and "differ in dtype" in err, argv[0]
+            assert all(repr(key) in err for key in keys), argv[0]
+
     def test_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
         # An all-NaN checkpoint used to evaluate to nan for every metric and exit 0.
         # Resuming from it used to stop on a NaN loss (exit 4) after the first forward.

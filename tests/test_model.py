@@ -351,7 +351,7 @@ class TestForward:
         broken["bogus.weight"] = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
         broken["shallow.bias"] = Tensor(np.zeros(3, np.float32), requires_grad=True)
         with pytest.raises(ValueError) as err:
-            validate_params(broken, cfg)
+            validate_params(broken, param_spec(cfg))
         message = str(err.value)
         assert "missing=['head.bias']" in message
         assert "unexpected=['bogus.weight']" in message
@@ -363,7 +363,7 @@ class TestForward:
         calls = []
         build = model_mod._hfem_spec
         monkeypatch.setattr(model_mod, "_hfem_spec", lambda c: calls.append(c) or build(c))
-        validate_params(params, cfg)
+        forward(make_stack(seed=22), params, cfg)
         assert len(calls) == 1
 
     def test_window_divisibility_enforced(self):

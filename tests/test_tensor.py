@@ -495,6 +495,7 @@ class TestElementwise:
             lambda t: tsum(tabs(t)),
             lambda t: tmean(mul(t, t)),
         ],
+        ids=["gelu", "sigmoid", "softmax_sq", "abs", "mean_sq"],
     )
     def test_elementwise_gradchecks(self, fn):
         x = rand((2, 3, 4), seed=18)
@@ -530,6 +531,16 @@ class TestBackward:
         once = Tensor(np.array([2.0]), requires_grad=True, dtype=F64)
         tsum(mul(once, 3.0)).backward()
         assert np.array_equal(x1.grad, 2.0 * once.grad)
+
+    def test_handed_over_gradient_is_not_written_in_place(self):
+        # Both adds hand the same array to a and b; adding a's second
+        # gradient into it in place would also double b's.
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=F64)
+        b = Tensor(np.array([0.5, 3.0]), requires_grad=True, dtype=F64)
+        w = Tensor(np.array([2.0, 5.0]), dtype=F64)
+        tsum(mul(add(add(a, b), a), w)).backward()
+        assert np.array_equal(a.grad, 2.0 * w.data)
+        assert np.array_equal(b.grad, w.data)
 
     def test_detached_tensor_gets_no_grad(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=False)
