@@ -484,8 +484,7 @@ def _taps(a: np.ndarray, groups: int, kh: int, kw: int):
 def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1, same-padded grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
 
-    Each tap adds its weights times its view from _taps (kn2row): a matmul, or a broadcast
-    multiply when Cin/groups == 1.
+    Each tap adds its weights times its view from _taps (kn2row), one matmul per tap.
     """
     batch, cin, height, width = a.shape
     cout, cg, kh, kw = w.shape
@@ -494,13 +493,113 @@ def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     wt = np.ascontiguousarray(w.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2))
     out = np.empty((batch, groups, cout // groups, height * wp), a.dtype)
     part = np.empty_like(out)
-    product = np.multiply if cg == 1 else np.matmul
     taps = _taps(a, groups, kh, kw)
-    product(wt[0, 0], next(taps)[2], out=out)
+    np.matmul(wt[0, 0], next(taps)[2], out=out)
     for i, j, view in taps:
-        product(wt[i, j], view, out=part)
+        np.matmul(wt[i, j], view, out=part)
         out += part
     return np.ascontiguousarray(out.reshape(batch, cout, height, wp)[..., :width])
+
+
+def _correlate_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient of _correlate(a, w) for w of the given shape from the output gradient g.
+
+    Per tap, g against that tap's view from _taps, summed over the batch.
+    """
+    batch, cout, height, width = g.shape
+    _, cg, kh, kw = shape
+    groups = a.shape[1] // cg
+    # g in the taps' row layout, zeros in the junk columns
+    gp = np.zeros((batch, cout, height, width + kw - 1), g.dtype)
+    gp[..., :width] = g
+    gp = gp.reshape(batch, groups, cout // groups, -1)
+    dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
+    for i, j, view in _taps(a, groups, kh, kw):
+        dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
+    return dw.transpose(2, 3, 4, 0, 1).reshape(shape)
+
+
+# Output columns per band tile. At 32 px (64 channels, and 8 at B=2) 16 beat 8
+# and 32 in forward plus weight gradient on a 2-core x86 CPU with OpenBLAS;
+# 32 was 15% faster at 8 channels and 128 px.
+_TILE = 16
+
+
+def _tiles(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """a [B, C, H, W] zero-padded by (kh // 2, kw // 2), copied once into overlapping column tiles.
+
+    Returns [B, C, H+kh-1, nT, _TILE+kw-1], nT = ceil(W / _TILE): tile t of a padded row
+    holds its columns t*_TILE to t*_TILE+_TILE+kw-2, with zeros past the row's end.
+    """
+    batch, channels, height, width = a.shape
+    ph, pw = kh // 2, kw // 2
+    nt = -(-width // _TILE)
+    tiles = np.zeros((batch, channels, height + kh - 1, nt, _TILE + kw - 1), a.dtype)
+    for t in range(nt):
+        start, stop = max(t * _TILE - pw, 0), min(t * _TILE + _TILE + pw, width)
+        tiles[:, :, ph : ph + height, t, start - t * _TILE + pw : stop - t * _TILE + pw] = a[..., start:stop]
+    return tiles
+
+
+def _tile_rows(tiles: np.ndarray, i: int, height: int) -> np.ndarray:
+    """The tiles of padded rows i to i+height-1, read by kernel row i: a [B, C, height*nT, _TILE+kw-1] view."""
+    batch, channels, _, nt, span = tiles.shape
+    return tiles[:, :, i : i + height].reshape(batch, channels, height * nt, span)
+
+
+def _diagonals(band: np.ndarray) -> np.ndarray:
+    """The [C, kw, _TILE] view of band [C, _TILE+kw-1, _TILE] whose [c, j, t] is band[c, t+j, t]."""
+    channels, span, tile = band.shape
+    s = band.strides
+    return np.lib.stride_tricks.as_strided(band, (channels, span - tile + 1, tile), (s[0], s[1], s[1] + s[2]))
+
+
+def _band(w_row: np.ndarray) -> np.ndarray:
+    """One kernel row w_row [C, kw] as C banded matrices [C, _TILE+kw-1, _TILE], w_row[:, j] on diagonal j."""
+    channels, kw = w_row.shape
+    band = np.zeros((channels, _TILE + kw - 1, _TILE), w_row.dtype)
+    _diagonals(band)[...] = w_row[..., None]
+    return band
+
+
+def _depthwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded depthwise correlation of a [B, C, H, W] with w [C, 1, kh, kw] as banded matmuls.
+
+    Along kernel row i the correlation is a product with a banded (Toeplitz) matrix:
+    a tile of _TILE+kw-1 padded columns times _band(w[:, 0, i]) gives _TILE outputs.
+    So each kernel row is one batched matmul of a view of the tiles, and the kh
+    products sum. A band is built per row, as all kh of them outweigh the input
+    for many channels at small extents.
+    """
+    batch, channels, height, width = a.shape
+    kh = w.shape[2]
+    tiles = _tiles(a, kh, w.shape[3])
+    out = np.matmul(_tile_rows(tiles, 0, height), _band(w[:, 0, 0]))
+    part = np.empty_like(out)
+    for i in range(1, kh):
+        np.matmul(_tile_rows(tiles, i, height), _band(w[:, 0, i]), out=part)
+        out += part
+    return np.ascontiguousarray(out.reshape(batch, channels, height, -1)[..., :width])
+
+
+def _depthwise_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient of _depthwise(a, w) for w of the given shape, from the output gradient g.
+
+    Per kernel row, the tile rows against g tiled alike give the band's gradient,
+    summed over the batch; that row of w's gradient is the sum along each diagonal.
+    """
+    batch, channels, height, width = g.shape
+    kh, kw = shape[2:]
+    tiles = _tiles(a, kh, kw)
+    nt = tiles.shape[3]
+    gt = np.zeros((batch, channels, height, nt * _TILE), g.dtype)
+    gt[..., :width] = g
+    gt = gt.reshape(batch, channels, height * nt, _TILE)
+    dw = np.empty((channels, kh, kw), g.dtype)
+    for i in range(kh):
+        band = np.matmul(_tile_rows(tiles, i, height).swapaxes(-1, -2), gt).sum(axis=0)
+        dw[:, i] = _diagonals(band).sum(axis=-1)
+    return dw.reshape(shape)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input: bool = False) -> Tensor:
@@ -508,12 +607,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
 
     The weight decides the geometry: it is [Cout, Cin/groups, kh, kw] with
     odd kh and kw, the input is zero-padded by (kh // 2, kw // 2) per side,
-    and groups = Cin / weight.shape[1] (Cin gives the depthwise case). Each
-    kernel tap is one product over a shifted view of the flat zero-padded
-    input (kn2row), so no kh*kw-fold im2col columns are made or kept:
-    backward re-pads x and sums, per tap, the output gradient against the
-    same views. The input gradient is the output gradient correlated with
-    the kernel flipped in space and transposed within each group.
+    and groups = Cin / weight.shape[1]. Neither path makes or keeps
+    kh*kw-fold im2col columns, and the input gradient is the output
+    gradient correlated with the kernel flipped in space and transposed
+    within each group, by the same path.
+
+    A depthwise weight, [Cin, 1, kh, kw], takes the banded path
+    (_depthwise): each kernel row is one batched matmul of overlapping
+    column tiles of the padded input, copied once per call, against a
+    banded matrix per channel. Every other weight, dense, grouped or a
+    depth multiplier [m*Cin, 1, kh, kw], takes kn2row (_correlate): each
+    kernel tap is one matmul over a shifted view of the flat zero-padded
+    input. Backward re-pads x and gets the weight gradient from the same
+    tiles or views against the output gradient.
 
     With gelu_input the node convolves gelu(x) and still keeps only x:
     backward rebuilds gelu(x) bit for bit from one recomputed tanh for the
@@ -525,7 +631,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
         raise ValueError(f"conv2d: input must be 4-d [B,C,H,W], got {x.shape}")
     if weight.ndim != 4:
         raise ValueError(f"conv2d: weight must be 4-d, got {weight.shape}")
-    batch, cin, height, width = x.shape
+    cin = x.shape[1]
     cout, cg, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
@@ -539,8 +645,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
 
     xn, wn, xd, wd = x.node, weight.node, x.data, weight.data
     bn = bias.node if bias is not None else None
+    depthwise = cg == 1 and cout == cin
+    correlate = _depthwise if depthwise else _correlate
+    weight_grad = _depthwise_weight_grad if depthwise else _correlate_weight_grad
     a = _gelu_forward(xd, _gelu_tanh(xd)) if gelu_input else xd
-    out = _correlate(a, wd)
+    out = correlate(a, wd)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
@@ -551,19 +660,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
             # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
             wt = wd.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
             wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
-            gx = _correlate(g, wt)
+            gx = correlate(g, wt)
             xn._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
             del gx
         if gelu_input:
             a = _gelu_forward(a, t)  # the forward's gelu(x); after _gelu_vjp, which needs the bare tanh
-        # g in the taps' row layout, zeros in the junk columns
-        gp = np.zeros((batch, cout, height, width + kw - 1), g.dtype)
-        gp[..., :width] = g
-        gp = gp.reshape(batch, groups, cout // groups, -1)
-        dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
-        for i, j, view in _taps(a, groups, kh, kw):
-            dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
-        wn._accumulate(dw.transpose(2, 3, 4, 0, 1).reshape(wd.shape))
+        wn._accumulate(weight_grad(a, g, wd.shape))
         if bn is not None:
             bn._accumulate(g.sum(axis=(0, 2, 3)))
 

@@ -171,6 +171,64 @@ class TestConv2d:
         assert finite_difference_check(lambda t: tsum(mul(conv2d(t, w), c)), x) < 1e-6
         assert finite_difference_check(lambda t: tsum(mul(conv2d(x, t), c)), w) < 1e-6
 
+    # Widths below, at, just past and past two band tiles (16 columns each).
+    @pytest.mark.parametrize("width", [3, 16, 17, 33])
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 5), (7, 7), (3, 5)], ids=["3x3", "5x5", "7x7", "3x5"])
+    def test_depthwise_matches_loop_oracle_across_tile_seams(self, width, kernel):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 3, 5, width))
+        w = rng.normal(size=(3, 1) + kernel)
+        b = rng.normal(size=(3,))
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b))
+        want = conv2d_loops(x, w, b, (kernel[0] // 2, kernel[1] // 2), 3)
+        assert np.allclose(got.data, want, atol=1e-10)
+
+    @pytest.mark.parametrize("gelu_input", [False, True])
+    def test_depthwise_gradcheck_across_tile_seams(self, gelu_input):
+        # 21 columns: a full band tile and a partial one. gelu'(x) is 0
+        # near x = -0.75, so with gelu_input some of the 1,008 input-gradient
+        # entries are tiny, and the central differences' rounding and
+        # truncation error reaches 1e-5 of them (kn2row reads the same).
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 4, 6, 21)), dtype=F64)
+        w = Tensor(rng.normal(size=(4, 1, 7, 7)), dtype=F64)
+        b = Tensor(rng.normal(size=(4,)), dtype=F64)
+        c = Tensor(rng.normal(size=(2, 4, 6, 21)), dtype=F64)
+
+        def loss(x, w, b):
+            return tsum(mul(conv2d(x, w, b, gelu_input=gelu_input), c))
+
+        assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-4
+        assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
+        assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(1, 64, 32, 32), (1, 8, 128, 128)])
+    def test_depthwise_transient_memory_is_bounded(self, shape):
+        # The banded path copies the padded input into column tiles once per
+        # call and builds one kernel row's bands at a time: about 5x forward
+        # and 7x backward here, kn2row 6x. Stacking the 7 rows' tiles into
+        # one matmul peaked at 14x forward and 18x backward at 1x64x32x32.
+        rng = np.random.default_rng(23)
+        x, w, b = (
+            Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+            for s in (shape, (shape[1], 1, 7, 7), (shape[1],))
+        )
+        g = rng.normal(size=shape).astype(np.float32)
+        peaks = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b, gelu_input=True)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out._backward_fn(g)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert max(peaks) <= 10 * x.data.nbytes
+
     def test_depthwise_forward_keeps_no_columns(self):
         # An im2col conv keeps a kh*kw-fold copy of its input for backward
         # (about 50x here); the per-tap conv keeps only its output.
