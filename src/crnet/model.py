@@ -205,6 +205,9 @@ def warp_by_flow(feature: Tensor, flow: np.ndarray) -> Tensor:
 
 FLOW_BLOCK = 8  # block matching: side of a square block, px
 FLOW_RADIUS = 4  # block matching: largest displacement along each axis, px
+# block matching: difference-buffer bytes per band of block rows, so a band stays in L2 across all shifts; at
+# 128 px 1 MiB ran 1.2x faster than one frame-sized band, and it keeps a 64-channel 32 px frame in one band
+FLOW_BAND_BYTES = 1 << 20
 # (dx, dy) search offsets, nearest first; the stable sort keeps row-major order among ties.
 _FLOW_OFFSETS = np.array(
     sorted(
@@ -224,22 +227,33 @@ def estimate_flow(ref, frame) -> np.ndarray:
     with broadcasting leading axes (a [B, C, H, W] reference against
     [N, B, C, H, W] frames matches every pair at once); the result is
     piecewise constant per block, [..., 2, H, W] (dx, dy).
+
+    All shifts run on one band of whole block rows at a time, so the transient is bounded
+    by the band (about FLOW_BAND_BYTES of difference), not the frame, and sums keep reduceat's order.
     """
     ref, frame = np.asarray(ref), np.asarray(frame)
     if ref.ndim < 3 or ref.shape[-3:] != frame.shape[-3:]:
         raise ValueError(f"estimate_flow: expected matching [..., C, H, W], got {ref.shape} vs {frame.shape}")
     lead = np.broadcast_shapes(ref.shape[:-3], frame.shape[:-3])
-    height, width = ref.shape[-2:]
-    row_starts = np.arange(0, height, FLOW_BLOCK)
-    col_starts = np.arange(0, width, FLOW_BLOCK)
-    r = FLOW_RADIUS
-    padded = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(r, r), (r, r)], mode="edge")
-    diff = np.empty(lead + ref.shape[-3:], dtype=np.result_type(ref, frame))
-    sad = np.empty((len(_FLOW_OFFSETS),) + lead + (len(row_starts), len(col_starts)), dtype=diff.dtype)
-    for k, (dx, dy) in enumerate(_FLOW_OFFSETS):
-        np.subtract(ref, padded[..., r + dy : r + dy + height, r + dx : r + dx + width], out=diff)
-        np.abs(diff, out=diff)
-        sad[k] = np.add.reduceat(np.add.reduceat(diff.sum(axis=-3), row_starts, axis=-2), col_starts, axis=-1)
+    channels, height, width = ref.shape[-3:]
+    dtype, b, r = np.result_type(ref, frame), FLOW_BLOCK, FLOW_RADIUS
+    n_rows, col_starts = -(-height // b), np.arange(0, width, b)
+    ref = np.pad(ref, [(0, 0)] * (ref.ndim - 2) + [(0, n_rows * b - height), (0, 0)])  # rows to whole blocks
+    padded = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(r, r + n_rows * b - height), (r, r)], mode="edge")
+    band = max(1, FLOW_BAND_BYTES // (math.prod(lead) * channels * b * width * dtype.itemsize))  # block rows
+    sad = np.empty((len(_FLOW_OFFSETS),) + lead + (n_rows, len(col_starts)), dtype)
+    for r0 in range(0, n_rows, band):
+        y0, y1 = r0 * b, min(r0 + band, n_rows) * b
+        d = np.empty(lead + (channels, y1 - y0, width), dtype)
+        part = np.empty((len(_FLOW_OFFSETS),) + lead + ((y1 - y0) // b, width), dtype)
+        for k, (dx, dy) in enumerate(_FLOW_OFFSETS):
+            np.copyto(d, padded[..., y0 + r + dy : y1 + r + dy, r + dx : r + dx + width])
+            np.subtract(d, ref[..., y0:y1, :], out=d)  # |window - ref| is bitwise |ref - window|; in place is fast
+            s = np.abs(d, out=d).sum(axis=-3)
+            s[..., height - y0 :, :] = 0  # rows past the frame
+            s = s.reshape(lead + (-1, b, width))
+            np.add(s[..., 0, :], s[..., 1:, :].sum(axis=-2), out=part[k])  # reduceat's order: a0 + (a1 + ... + a7)
+        sad[..., r0 : r0 + band, :] = np.add.reduceat(part, col_starts, axis=-1)
     # argmin takes the first minimum in search order: the nearest offset.
     best = np.moveaxis(_FLOW_OFFSETS[sad.argmin(axis=0)], -1, -3).astype(np.float32)
     return np.repeat(np.repeat(best, FLOW_BLOCK, axis=-2), FLOW_BLOCK, axis=-1)[..., :height, :width]

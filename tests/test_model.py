@@ -251,11 +251,16 @@ class TestEstimateFlow:
                     single = estimate_flow(ref[b], frames[n, b])
                     assert np.array_equal(batched[n, b], single), (n, b)
 
-    def test_matches_running_best_search(self):
+    def test_matches_running_best_search(self, monkeypatch):
         # The SAD table and argmin must pick what a strict-< sweep over the
-        # offsets, nearest first, picks: ties go to the nearest offset.
+        # offsets, nearest first, picks: ties go to the nearest offset. Row
+        # bands must not change a bit: the 300x76 case spans 3 bands at the
+        # module's 1 MiB and 13 at 3 block rows, the last band partial and
+        # its last block row half outside the frame; the float64 near-tie
+        # case spans 3 bands at the smaller size.
         rng = np.random.default_rng(16)
         quantized = np.round(rng.uniform(0, 2, (2, 3, 24, 24)) * 2) / 2  # many near-ties
+        tall = np.round(rng.uniform(0, 2, (5, 3, 44, 36)) * 2) / 2  # near-ties over several bands
         cases = [
             (rng.normal(size=(3, 24, 24)), rng.normal(size=(3, 24, 24))),
             (np.full((3, 16, 16), 0.25), np.full((3, 16, 16), 0.25)),  # every offset ties
@@ -265,10 +270,22 @@ class TestEstimateFlow:
                 rng.normal(size=(2, 3, 16, 24)).astype(np.float32),
                 rng.normal(size=(4, 2, 3, 16, 24)).astype(np.float32),
             ),
+            (tall[0], tall[1:]),
+            (  # the full model's shape at 32 px
+                rng.normal(size=(1, 64, 32, 32)).astype(np.float32),
+                rng.normal(size=(4, 1, 64, 32, 32)).astype(np.float32),
+            ),
+            (
+                rng.normal(size=(1, 8, 300, 76)).astype(np.float32),
+                rng.normal(size=(4, 1, 8, 300, 76)).astype(np.float32),
+            ),
         ]
-        for ref, frame in cases:
-            want = running_best_flow(ref, frame)
-            assert estimate_flow(ref, frame).tobytes() == want.tobytes(), ref.shape
+        wants = [running_best_flow(ref, frame).tobytes() for ref, frame in cases]
+        # 3 block rows of the 300x76 case's difference buffer, [4, 1, 8, 24, 76] float32
+        for band_bytes in (model_mod.FLOW_BAND_BYTES, 3 * 4 * 8 * 8 * 76 * 4):
+            monkeypatch.setattr(model_mod, "FLOW_BAND_BYTES", band_bytes)
+            for (ref, frame), want in zip(cases, wants):
+                assert estimate_flow(ref, frame).tobytes() == want, (ref.shape, band_bytes)
 
 
 class TestForward:

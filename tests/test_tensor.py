@@ -27,7 +27,7 @@ from crnet.tensor import (
     tmean,
     tsum,
 )
-from tests.gradcheck import finite_difference_check
+from tests.gradcheck import finite_difference_check, finite_difference_norm_error
 
 F64 = np.float64
 
@@ -189,6 +189,7 @@ class TestConv2d:
         # near x = -0.75, so with gelu_input some of the 1,008 input-gradient
         # entries are tiny, and the central differences' rounding and
         # truncation error reaches 1e-5 of them (kn2row reads the same).
+        # Against the gradient's max norm every error reads 0.6-2e-10.
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(size=(2, 4, 6, 21)), dtype=F64)
         w = Tensor(rng.normal(size=(4, 1, 7, 7)), dtype=F64)
@@ -201,6 +202,8 @@ class TestConv2d:
         assert finite_difference_check(lambda t: loss(t, w, b), x) < 1e-4
         assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
         assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
+        for f, arg in ((lambda t: loss(t, w, b), x), (lambda t: loss(x, t, b), w), (lambda t: loss(x, w, t), b)):
+            assert finite_difference_norm_error(f, arg) < 1e-9
 
     @pytest.mark.parametrize("shape", [(1, 64, 32, 32), (1, 8, 128, 128)])
     def test_depthwise_transient_memory_is_bounded(self, shape):
