@@ -5,9 +5,10 @@ mapping from stable local path strings (e.g. "branchA.conv0.weight") to
 tensors. The companion ``*_spec`` functions return the expected key ->
 shape layout, which doubles as the initializer schema and the
 checkpoint-validation contract. The spec is the only place a layout is
-stated: forwards read kernel sizes, channel widths and conv groups from
-the weights and take only the choices the weights cannot show (heads,
-window, pool kind, branch split, depthwise kernel mode).
+stated: forwards read kernel sizes, channel widths and each conv's kind
+(dense or depthwise, the two ``conv2d`` takes) from the weights and take
+only the choices the weights cannot show (heads, window, pool kind,
+branch split, depthwise kernel mode).
 
 Blocks with a skip path (attention, multi-branch, channel-wise FFN,
 enhancement block) reduce to the identity when their weights are zero;
@@ -73,8 +74,8 @@ def conv_spec(cout: int, cin: int, k: int) -> ParamSpec:
 
 
 def conv(x: Tensor, params: Params, key: str, gelu_input: bool = False) -> Tensor:
-    """Apply conv layer ``key`` of params, to gelu(x) with gelu_input; its weight
-    sets the kernel and the groups, and the output keeps x's extents."""
+    """Apply conv layer ``key`` of params, to gelu(x) with gelu_input; its weight,
+    dense or depthwise, sets the kernel, and the output keeps x's extents."""
     return conv2d(x, params[f"{key}.weight"], params[f"{key}.bias"], gelu_input)
 
 

@@ -460,12 +460,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution -----------------------------------------------------------
 
 
-def _taps(a: np.ndarray, groups: int, kh: int, kw: int):
+def _taps(a: np.ndarray, kh: int, kw: int):
     """Yield (i, j, view) per kernel tap of a [B, Cin, H, W] zero-padded by (kh // 2, kw // 2) per side.
 
     Output pixel (y, x) sits at y*Wp + x of the flat padded input and tap (i, j) reads
-    from i*Wp + j on, so view is [B, groups, Cin/groups, H*Wp] with Wp - W junk columns
-    per row. One more zero row keeps the last tap in range.
+    from i*Wp + j on, so view is [B, Cin, H*Wp] with Wp - W junk columns per row.
+    One more zero row keeps the last tap in range. Of the two layouts conv2d takes,
+    only dense weights read taps; depthwise ones take _depthwise, and others raise.
     """
     batch, cin, height, width = a.shape
     ph, pw = kh // 2, kw // 2
@@ -474,31 +475,35 @@ def _taps(a: np.ndarray, groups: int, kh: int, kw: int):
     if (kh, kw) != (1, 1):
         flat = np.zeros((batch, cin, height + 2 * ph + 1, wp), a.dtype)
         flat[:, :, ph : ph + height, pw : pw + width] = a
-    flat = flat.reshape(batch, groups, cin // groups, -1)
+    flat = flat.reshape(batch, cin, -1)
     size = height * wp
     for i in range(kh):
         for j in range(kw):
             yield i, j, flat[..., i * wp + j : i * wp + j + size]
 
 
+def _sum_of_products(pairs) -> np.ndarray:
+    """The sum of np.matmul(p, q) over the (p, q) pairs, added in order through one scratch product."""
+    pairs = iter(pairs)
+    out = np.matmul(*next(pairs))
+    part = np.empty_like(out)
+    for p, q in pairs:
+        np.matmul(p, q, out=part)
+        out += part
+    return out
+
+
 def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1, same-padded grouped correlation of a [B, Cin, H, W] with w [Cout, Cin/groups, kh, kw].
+    """Stride-1, same-padded correlation of a [B, Cin, H, W] with a dense w [Cout, Cin, kh, kw].
 
     Each tap adds its weights times its view from _taps (kn2row), one matmul per tap.
+    conv2d sends dense weights here, depthwise ones to _depthwise, and rejects the rest.
     """
-    batch, cin, height, width = a.shape
-    cout, cg, kh, kw = w.shape
-    groups, wp = cin // cg, width + kw - 1
-    # [kh, kw, groups, Cout/groups, Cg], contiguous per tap so matmul stays on BLAS
-    wt = np.ascontiguousarray(w.reshape(groups, cout // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2))
-    out = np.empty((batch, groups, cout // groups, height * wp), a.dtype)
-    part = np.empty_like(out)
-    taps = _taps(a, groups, kh, kw)
-    np.matmul(wt[0, 0], next(taps)[2], out=out)
-    for i, j, view in taps:
-        np.matmul(wt[i, j], view, out=part)
-        out += part
-    return np.ascontiguousarray(out.reshape(batch, cout, height, wp)[..., :width])
+    batch, _, height, width = a.shape
+    cout, _, kh, kw = w.shape
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]: contiguous per tap, for BLAS
+    out = _sum_of_products((wt[i, j], view) for i, j, view in _taps(a, kh, kw))
+    return np.ascontiguousarray(out.reshape(batch, cout, height, -1)[..., :width])
 
 
 def _correlate_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -507,16 +512,15 @@ def _correlate_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.nda
     Per tap, g against that tap's view from _taps, summed over the batch.
     """
     batch, cout, height, width = g.shape
-    _, cg, kh, kw = shape
-    groups = a.shape[1] // cg
+    kh, kw = shape[2:]
     # g in the taps' row layout, zeros in the junk columns
     gp = np.zeros((batch, cout, height, width + kw - 1), g.dtype)
     gp[..., :width] = g
-    gp = gp.reshape(batch, groups, cout // groups, -1)
-    dw = np.empty((kh, kw, groups, cout // groups, cg), g.dtype)
-    for i, j, view in _taps(a, groups, kh, kw):
-        dw[i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
-    return dw.transpose(2, 3, 4, 0, 1).reshape(shape)
+    gp = gp.reshape(batch, cout, -1)
+    dw = np.empty(shape, g.dtype)
+    for i, j, view in _taps(a, kh, kw):
+        dw[..., i, j] = np.matmul(gp, view.swapaxes(-1, -2)).sum(axis=0)
+    return dw
 
 
 # Output columns per band tile. At 32 px (64 channels, and 8 at B=2) 16 beat 8
@@ -574,11 +578,7 @@ def _depthwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     batch, channels, height, width = a.shape
     kh = w.shape[2]
     tiles = _tiles(a, kh, w.shape[3])
-    out = np.matmul(_tile_rows(tiles, 0, height), _band(w[:, 0, 0]))
-    part = np.empty_like(out)
-    for i in range(1, kh):
-        np.matmul(_tile_rows(tiles, i, height), _band(w[:, 0, i]), out=part)
-        out += part
+    out = _sum_of_products((_tile_rows(tiles, i, height), _band(w[:, 0, i])) for i in range(kh))
     return np.ascontiguousarray(out.reshape(batch, channels, height, -1)[..., :width])
 
 
@@ -605,21 +605,20 @@ def _depthwise_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.nda
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input: bool = False) -> Tensor:
     """Stride-1 2-d cross-correlation over [B, Cin, H, W] that keeps H and W.
 
-    The weight decides the geometry: it is [Cout, Cin/groups, kh, kw] with
-    odd kh and kw, the input is zero-padded by (kh // 2, kw // 2) per side,
-    and groups = Cin / weight.shape[1]. Neither path makes or keeps
-    kh*kw-fold im2col columns, and the input gradient is the output
-    gradient correlated with the kernel flipped in space and transposed
-    within each group, by the same path.
+    The weight decides the geometry. It is dense, [Cout, Cin, kh, kw], or
+    depthwise, [Cin, 1, kh, kw], with odd kh and kw; any other layout is
+    rejected. The input is zero-padded by (kh // 2, kw // 2) per side.
+    Neither path makes or keeps kh*kw-fold im2col columns, and the input
+    gradient is the output gradient correlated with the kernel flipped in
+    space (and its channel axes swapped if dense), by the same path.
 
-    A depthwise weight, [Cin, 1, kh, kw], takes the banded path
-    (_depthwise): each kernel row is one batched matmul of overlapping
-    column tiles of the padded input, copied once per call, against a
-    banded matrix per channel. Every other weight, dense, grouped or a
-    depth multiplier [m*Cin, 1, kh, kw], takes kn2row (_correlate): each
-    kernel tap is one matmul over a shifted view of the flat zero-padded
-    input. Backward re-pads x and gets the weight gradient from the same
-    tiles or views against the output gradient.
+    A dense weight takes kn2row (_correlate): each kernel tap is one matmul
+    over a shifted view of the flat zero-padded input. A depthwise weight
+    takes the banded path (_depthwise): each kernel row is one batched
+    matmul of overlapping column tiles of the padded input, copied once per
+    call, against a banded matrix per channel. Backward re-pads x and gets
+    the weight gradient from the same views or tiles against the output
+    gradient.
 
     With gelu_input the node convolves gelu(x) and still keeps only x:
     backward rebuilds gelu(x) bit for bit from one recomputed tanh for the
@@ -635,17 +634,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
     cout, cg, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    groups = cin // cg if cg else 0
-    if groups == 0 or groups * cg != cin or cout % groups != 0:
+    depthwise = cg == 1 and cout == cin
+    if cg != cin and not depthwise:
         raise ValueError(
-            f"conv2d: weight channel axis {cg} must split Cin={cin} into groups that divide Cout={cout}"
+            f"conv2d: weight {weight.shape} on Cin={cin}: its channel axis must be Cin for a dense "
+            f"[Cout, Cin, kh, kw] weight, or 1 for a depthwise [Cin, 1, kh, kw] weight"
         )
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
 
     xn, wn, xd, wd = x.node, weight.node, x.data, weight.data
     bn = bias.node if bias is not None else None
-    depthwise = cg == 1 and cout == cin
     correlate = _depthwise if depthwise else _correlate
     weight_grad = _depthwise_weight_grad if depthwise else _correlate_weight_grad
     a = _gelu_forward(xd, _gelu_tanh(xd)) if gelu_input else xd
@@ -657,10 +656,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
         a = xd
         t = _gelu_tanh(a) if gelu_input else None
         if xn.requires_grad:
-            # [Cin, Cout/groups, kh, kw]: swap the channel axes within each group, flip in space
-            wt = wd.reshape(groups, cout // groups, cg, kh, kw).transpose(0, 2, 1, 3, 4)
-            wt = wt.reshape(cin, cout // groups, kh, kw)[:, :, ::-1, ::-1]
-            gx = correlate(g, wt)
+            gx = correlate(g, (wd if depthwise else wd.swapaxes(0, 1))[:, :, ::-1, ::-1])
             xn._accumulate(_gelu_vjp(a, t, gx) if gelu_input else gx)
             del gx
         if gelu_input:

@@ -104,7 +104,6 @@ class TestConv2d:
         "groups,cout,kernel",
         [
             pytest.param(1, 4, (3, 3), id="1-1"),
-            pytest.param(4, 8, (3, 3), id="depth-multiplier"),
             pytest.param(1, 4, (3, 5), id="3x5"),
         ],
     )
@@ -163,13 +162,15 @@ class TestConv2d:
         assert finite_difference_check(lambda t: loss(x, t, b), w) < 1e-6
         assert finite_difference_check(lambda t: loss(x, w, t), b) < 1e-6
 
-    def test_gradcheck_depth_multiplier(self):
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(2, 4, 5, 6)), dtype=F64)
-        w = Tensor(rng.normal(size=(8, 1, 3, 3)), dtype=F64)
-        c = Tensor(rng.normal(size=(2, 8, 5, 6)), dtype=F64)
-        assert finite_difference_check(lambda t: tsum(mul(conv2d(t, w), c)), x) < 1e-6
-        assert finite_difference_check(lambda t: tsum(mul(conv2d(x, t), c)), w) < 1e-6
+    def test_rejects_grouped_and_depth_multiplier_weights(self):
+        # Only dense [Cout, Cin, kh, kw] and depthwise [Cin, 1, kh, kw] weights
+        # are taken: a depth multiplier and a 2-group weight on 4 channels are not.
+        x = rand((1, 4, 5, 5))
+        for shape in ((8, 1, 3, 3), (4, 2, 3, 3)):
+            with pytest.raises(ValueError, match="channel axis") as error:
+                conv2d(x, rand(shape))
+            assert "dense [Cout, Cin, kh, kw]" in str(error.value)
+            assert "depthwise [Cin, 1, kh, kw]" in str(error.value)
 
     # Widths below, at, just past and past two band tiles (16 columns each).
     @pytest.mark.parametrize("width", [3, 16, 17, 33])
@@ -293,11 +294,11 @@ class TestConv2d:
 class TestGeluInputConv:
     """conv2d(x, ..., gelu_input=True) is conv2d(gelu(x), ...) as one node that keeps only x."""
 
-    # dense 3x3, grouped, depthwise 7x7, 1x1 without bias
+    # dense 3x3, depthwise 7x7, 1x1 without bias
     @pytest.mark.parametrize(
         "k,groups,has_bias",
-        [(3, 1, True), (3, 2, True), (7, 4, True), (1, 1, False)],
-        ids=["dense3x3", "grouped3x3", "depthwise7x7", "1x1_no_bias"],
+        [(3, 1, True), (7, 4, True), (1, 1, False)],
+        ids=["dense3x3", "depthwise7x7", "1x1_no_bias"],
     )
     def test_gradcheck_input_weight_bias(self, k, groups, has_bias):
         rng = np.random.default_rng(17)
