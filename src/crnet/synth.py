@@ -2,10 +2,12 @@
 
 A scene is a piecewise-smooth radiance field (gradients, disks, hard
 edges) in [0, dynamic_range] relative units, generated deterministically
-from a seed. Rendering shifts it per frame (global translation),
-motion-blurs the long exposures, exposes and clips each frame, adds
-heteroscedastic sensor noise, and quantizes to 12 bits. Ground truth is
-the unshifted, noise-free scene scaled to the reference exposure.
+from a seed. Rendering shifts it per frame (global translation, a
+separable lerp outside the autodiff graph with the bytes of a
+constant-flow warp), motion-blurs the long exposures, exposes and clips
+each frame, adds heteroscedastic sensor noise, and quantizes to 12 bits.
+Ground truth is the unshifted, noise-free scene scaled to the reference
+exposure.
 
 The synthetic degradations are stand-ins with invented parameters; they
 exercise the pipeline, they do not reproduce any real capture process.
@@ -19,9 +21,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack, validate_exposure_times, warp_by_flow
+from .model import NUM_FRAMES, RAW_CHANNELS, ExposureStack, validate_exposure_times
 from .storage import FormatError, read_archive, write_archive
-from .tensor import Tensor
+from .tensor import _lerp, _neighbours
 
 QUANT_LEVELS = 4095  # 12-bit raw
 BLUR_FRAMES = (3, 4)  # the two longest exposures pick up motion blur
@@ -158,7 +160,9 @@ def render_bracket(
     """Render the five-exposure degraded stack of a radiance scene.
 
     Frame i shows the scene shifted by motion[i]; the two longest frames
-    integrate blur_taps sub-positions along the inter-frame drift.
+    integrate blur_taps sub-positions along the inter-frame drift. Each
+    shift is a separable bilinear lerp on plain arrays, bytewise equal to
+    `warp_by_flow` with a constant flow.
     Exposure uses clip(scene * ratio_i / peak, 0, 1) with peak = the
     scene's nominal dynamic range ceiling inferred as max(scene, 1);
     read and shot noise shrink with exposure ratio and frames quantize
@@ -174,16 +178,12 @@ def render_bracket(
     motion = motion - motion[0]
     times = np.asarray(degrade.exposure_times, dtype=np.float64)
     peak = max(float(scene.max()), 1.0)
-    source = Tensor(scene[None])
+    height, width = scene.shape[1:]
 
     def translate(dx: float, dy: float) -> np.ndarray:
-        """Content moved by (+dx, +dy) px: a constant backward warp by (-dx, -dy).
-
-        The flow stays float64; float32 would round the sub-pixel shift.
-        """
-        flow = np.empty((2,) + scene.shape[1:], dtype=np.float64)
-        flow[0], flow[1] = -dx, -dy
-        return warp_by_flow(source, flow).data[0]
+        """Content moved by (+dx, +dy) px; columns, then rows, give the bytes of a warp by (-dx, -dy)."""
+        cols = _lerp(scene, -1, *_neighbours(np.arange(width, dtype=np.float64) - dx, width))
+        return _lerp(cols, -2, *_neighbours(np.arange(height, dtype=np.float64) - dy, height))
 
     frames: List[np.ndarray] = []
     for i in range(NUM_FRAMES):

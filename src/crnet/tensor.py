@@ -739,8 +739,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def _neighbours(src: np.ndarray, n: int):
-    """(floor, next index clamped to n - 1, fraction) of float64 positions on an
-    axis of n samples; positions are clipped to [0, n - 1], so edges replicate."""
+    """(floor, next index clamped to n - 1, fraction) of float64 positions on an axis of n
+    samples, for upsampling, warp and the bracket renderer; positions are clipped to
+    [0, n - 1], so edges replicate."""
     src = np.clip(src, 0.0, n - 1.0)
     lo = np.floor(src).astype(np.intp)
     return lo, np.minimum(lo + 1, n - 1), src - lo
@@ -754,41 +755,34 @@ def _interp_axis(n_out: int, n_in: int):
     return _neighbours((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5, n_in)
 
 
-def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
-    mat = np.zeros((n_out, n_in), dtype=dtype)
-    lo, hi, frac = _interp_axis(n_out, n_in)
-    rows = np.arange(n_out)
-    np.add.at(mat, (rows, lo), (1.0 - frac).astype(dtype))
-    np.add.at(mat, (rows, hi), frac.astype(dtype))
-    return mat
+def _lerp(a: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Gather-and-lerp a[lo] + frac * (a[hi] - a[lo]) along one negative axis; lo, hi and
+    frac are 1-d over that axis's output positions, and frac is cast to a's dtype."""
+    tail = (slice(None),) * (-1 - axis)
+    low = a[(..., lo) + tail]
+    weight = frac.astype(a.dtype).reshape((-1,) + (1,) * (-1 - axis))
+    return low + weight * (a[(..., hi) + tail] - low)
 
 
 def bilinear_upsample(x: Tensor) -> Tensor:
     """Bilinear 2x upsampling of [B, C, H, W] to [B, C, 2H, 2W].
 
     Uses the align-corners=false convention with edge clamping. The
-    forward pass is lerp-form (lo + frac * (hi - lo)) so constant inputs
-    come back bit-exact; the backward pass is the transposed linear map
-    applied as two small matmuls.
+    forward pass lerps rows, then columns, as lo + frac * (hi - lo), so
+    constant inputs come back bit-exact. The backward pass is the
+    transposed linear map applied as two small matmuls; each matrix is
+    the forward's lerp applied to the identity.
     """
     if x.ndim != 4:
         raise ValueError(f"bilinear_upsample: input must be 4-d, got {x.shape}")
     _, _, height, width = x.shape
-    out_h, out_w = 2 * height, 2 * width
-    dtype = x.data.dtype
-    lo_r, hi_r, frac_r = _interp_axis(out_h, height)
-    lo_c, hi_c, frac_c = _interp_axis(out_w, width)
-    wr = frac_r.astype(dtype)[None, None, :, None]
-    wc = frac_c.astype(dtype)[None, None, None, :]
-    low = x.data[:, :, lo_r, :]
-    rows = low + wr * (x.data[:, :, hi_r, :] - low)
-    left = rows[:, :, :, lo_c]
-    out = left + wc * (rows[:, :, :, hi_c] - left)
-    xn = x.node
+    row_axis, col_axis = _interp_axis(2 * height, height), _interp_axis(2 * width, width)
+    out = _lerp(_lerp(x.data, -2, *row_axis), -1, *col_axis)
+    xn, dtype = x.node, x.data.dtype
 
     def backward(g):
-        row_mat = _interp_matrix(out_h, height, dtype)
-        col_mat = _interp_matrix(out_w, width, dtype)
+        row_mat = _lerp(np.eye(height, dtype=dtype), -2, *row_axis)
+        col_mat = _lerp(np.eye(width, dtype=dtype), -2, *col_axis)
         xn._accumulate(np.matmul(np.matmul(row_mat.T, g), col_mat))
 
     return _node(out, (x,), backward)

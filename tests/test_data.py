@@ -4,9 +4,12 @@ dataset directory format."""
 import numpy as np
 import pytest
 
-from crnet.model import CRNetConfig, ExposureStack, preprocess
+from crnet.model import NUM_FRAMES, CRNetConfig, ExposureStack, preprocess, warp_by_flow
 from crnet.storage import FormatError, read_archive, write_archive
 from crnet.synth import (
+    BLUR_FRAMES,
+    MOTION,
+    QUANT_LEVELS,
     DegradeSpec,
     SampleRecord,
     SceneSpec,
@@ -16,6 +19,7 @@ from crnet.synth import (
     render_bracket,
     write_dataset,
 )
+from crnet.tensor import Tensor
 
 ZERO_MOTION = np.zeros((5, 2))
 
@@ -132,6 +136,48 @@ class TestRenderBracket:
     def test_negative_scene_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             render_bracket(-np.ones((4, 8, 8)), DegradeSpec(), ZERO_MOTION, seed0_noise())
+
+
+def render_bracket_by_warp(scene, degrade, motion, rng):
+    """Oracle: render_bracket's frames, each shift a warp_by_flow with the constant flow (-dx, -dy)."""
+    motion = motion - motion[0]
+    times = np.asarray(degrade.exposure_times, dtype=np.float64)
+    peak = max(float(scene.max()), 1.0)
+    frames = []
+    for i in range(NUM_FRAMES):
+        taps = np.linspace(0.0, 1.0, degrade.blur_taps) if i in BLUR_FRAMES else (0.0,)
+        shifts = []
+        for t in taps:
+            dx, dy = motion[i] + t * (motion[i] - motion[i - 1])
+            flow = np.empty((2,) + scene.shape[1:])
+            flow[0], flow[1] = -dx, -dy
+            shifts.append(warp_by_flow(Tensor(scene[None]), flow).data[0])
+        clean = np.clip(np.mean(shifts, axis=0) * (times[i] / times[0]) / peak, 0.0, 1.0)
+        read = rng.standard_normal(clean.shape) * degrade.read_noise_sigma
+        shot = rng.standard_normal(clean.shape) * np.sqrt(degrade.shot_noise_scale * clean)
+        noisy = clean + (read + shot) / (times[i] / times[0])
+        frames.append(np.minimum(np.round(noisy * QUANT_LEVELS) / QUANT_LEVELS, 1.0).astype(np.float32))
+    return frames
+
+
+class TestRenderBracketShifts:
+    @pytest.mark.parametrize(
+        "seed, size, blur_taps, motion",
+        [
+            (0, (32, 32), 8, MOTION),
+            (1, (48, 64), 8, ((0, 0), (1.5, -2.25), (-3, 4), (5.5, 0.75), (-6.25, -1))),
+            (2, (40, 24), 3, MOTION),
+        ],
+    )
+    def test_frames_equal_warp_oracle(self, seed, size, blur_taps, motion):
+        # A sign or axis slip in the shift shows here: the frames must keep their bytes, not just round alike.
+        scene = generate_scene(SceneSpec(seed=seed, size=size))
+        degrade = DegradeSpec(blur_taps=blur_taps)
+        motion = np.array(motion, dtype=np.float64)
+        stack = render_bracket(scene, degrade, motion, np.random.default_rng(seed))
+        oracle = render_bracket_by_warp(scene, degrade, motion, np.random.default_rng(seed))
+        for i, frame in enumerate(oracle):
+            assert stack.frames[i].tobytes() == frame.tobytes(), f"frame {i}"
 
 
 class TestGroundTruthProperties:

@@ -6,8 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from crnet.model import warp_by_flow
 from crnet.tensor import (
     Tensor,
+    _interp_axis,
+    _lerp,
+    _neighbours,
     _node,
     add,
     avg_pool2d,
@@ -451,6 +455,46 @@ class TestBilinearUpsample:
     def test_gradcheck(self):
         x = rand((1, 2, 3, 4), seed=12)
         assert finite_difference_check(lambda t: tsum(bilinear_upsample(t)), x) < 1e-6
+
+
+def interp_matrix_scatter(n_out, n_in, dtype):
+    """Oracle: the upsampling matrix built by scattering each row's two weights."""
+    mat = np.zeros((n_out, n_in), dtype=dtype)
+    lo, hi, frac = _interp_axis(n_out, n_in)
+    rows = np.arange(n_out)
+    np.add.at(mat, (rows, lo), (1.0 - frac).astype(dtype))
+    np.add.at(mat, (rows, hi), frac.astype(dtype))
+    return mat
+
+
+class TestLerp:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_identity_lerp_is_scattered_interp_matrix(self, dtype):
+        # The upsampling backward's matrices: 2x fractions 0, 1/4 and 3/4 are exact, so 1 - w is too.
+        for n in range(1, 65):
+            mat = _lerp(np.eye(n, dtype=dtype), -2, *_interp_axis(2 * n, n))
+            oracle = interp_matrix_scatter(2 * n, n, dtype)
+            assert mat.dtype == oracle.dtype and mat.tobytes() == oracle.tobytes(), n
+
+    def test_columns_then_rows_is_constant_flow_warp(self):
+        # The bracket renderer's shift must keep the bytes of warp_by_flow with the flow (-dx, -dy).
+        rng = np.random.default_rng(25)
+        for case in range(240):
+            h, w = (int(v) for v in rng.integers(1, 7 if case % 8 == 0 else 81, 2))
+            a = rng.uniform(0.0, 16.0, (4, h, w))
+            dx, dy = rng.uniform(-6.0, 6.0, 2)
+            if case % 4 == 1:
+                dx, dy = (float(v) for v in rng.integers(-6, 7, 2))
+            elif case % 4 == 2:
+                dx, dy = (0.0, dy) if case % 8 == 2 else (dx, 0.0)
+            elif case % 40 == 3:
+                dx = dy = 0.0
+            cols = _lerp(a, -1, *_neighbours(np.arange(w, dtype=F64) - dx, w))
+            shifted = _lerp(cols, -2, *_neighbours(np.arange(h, dtype=F64) - dy, h))
+            flow = np.empty((2, h, w))
+            flow[0], flow[1] = -dx, -dy
+            oracle = warp_by_flow(Tensor(a[None]), flow).data[0]
+            assert shifted.tobytes() == oracle.tobytes(), (case, h, w, dx, dy)
 
 
 class TestElementwise:
