@@ -260,9 +260,12 @@ def conv_ffn(x: Tensor, params: Params) -> Tensor:
     """Pointwise expand -> GELU -> pointwise contract, with skip path.
 
     The middle width is fc1's output axis: widened, narrowed, or
-    unchanged by the spec's mode.
+    unchanged by the spec's mode. The hidden layer is not kept: fc2 keeps
+    fc1's arguments (input_of), and its backward re-runs fc1's forward
+    from fc1's kept input, so fc1's output is freed when this returns.
     """
-    return conv(conv(x, params, "fc1"), params, "fc2", gelu_input=True) + x
+    fc1 = (x, params["fc1.weight"], params["fc1.bias"])
+    return conv2d(conv2d(*fc1), params["fc2.weight"], params["fc2.bias"], gelu_input=True, input_of=fc1) + x
 
 
 # -- convolutional enhancement block --------------------------------------------
@@ -290,6 +293,9 @@ def conv_enhancement_block(x: Tensor, params: Params, kernel_mode: str) -> Tenso
     convolution is followed by GELU; a skip path wraps the whole block.
     The GELUs of pw_in and the depthwise convs are applied by the next conv
     to its input; pw_out's is a gelu node, as the FFN's skip path reads it.
+    A dw7 block's graph keeps about 5x its input: the outputs of pw_in,
+    dw0, pw_out and its GELU, and the block's output. The FFN's hidden
+    layer is not kept; fc2's backward re-runs fc1 from fc1's kept input.
     """
     h = conv(x, params, "pw_in")
     for j in range(len(CEB_DW_KERNELS[kernel_mode])):

@@ -602,7 +602,26 @@ def _depthwise_weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.nda
     return dw.reshape(shape)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input: bool = False) -> Tensor:
+def _is_depthwise(w: np.ndarray, cin: int) -> bool:
+    """Whether w is a depthwise [Cin, 1, kh, kw] weight on Cin input channels; otherwise it is dense."""
+    return w.shape[1] == 1 and w.shape[0] == cin
+
+
+def _conv_forward(a: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """conv2d's output on arrays: a correlated with w by w's path, plus b per output channel if given."""
+    out = (_depthwise if _is_depthwise(w, a.shape[1]) else _correlate)(a, w)
+    if b is not None:
+        out += b[None, :, None, None]  # out is fresh from the matmuls
+    return out
+
+
+def conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    gelu_input: bool = False,
+    input_of: Optional[tuple] = None,
+) -> Tensor:
     """Stride-1 2-d cross-correlation over [B, Cin, H, W] that keeps H and W.
 
     The weight decides the geometry. It is dense, [Cout, Cin, kh, kw], or
@@ -623,6 +642,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
     With gelu_input the node convolves gelu(x) and still keeps only x:
     backward rebuilds gelu(x) bit for bit from one recomputed tanh for the
     weight gradient and scales the input gradient by gelu'(x).
+
+    input_of=(x0, w0, b0) states that x is conv2d(x0, w0, b0) without
+    gelu_input; b0 may be None. The node then keeps the arrays of x0, w0
+    and b0 instead of x's; the producer's node keeps x0's and w0's anyway.
+    Backward re-derives x through _conv_forward, the forward both convs
+    run, so its bytes are the forward's, and x's array is freed once the
+    caller drops x. conv_ffn's fc2 uses this, so the FFN's hidden layer is
+    not kept. Gradients reach x0, w0 and b0 through the producer's node.
     """
     parents = [x, weight] + ([bias] if bias is not None else [])
     _check_same_dtype(*parents)
@@ -634,7 +661,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
     cout, cg, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    depthwise = cg == 1 and cout == cin
+    depthwise = _is_depthwise(weight.data, cin)
     if cg != cin and not depthwise:
         raise ValueError(
             f"conv2d: weight {weight.shape} on Cin={cin}: its channel axis must be Cin for a dense "
@@ -642,18 +669,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, gelu_input:
         )
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d: bias axis must be ({cout},), got {bias.shape}")
+    if input_of is not None:
+        x0, w0, b0 = input_of
+        _check_same_dtype(x, x0, w0, *([b0] if b0 is not None else []))
+        if (x0.shape[0], w0.shape[0]) + x0.shape[2:] != x.shape:
+            raise ValueError(f"conv2d: input {x.shape} cannot be the conv of {x0.shape} with weight {w0.shape}")
 
     xn, wn, xd, wd = x.node, weight.node, x.data, weight.data
     bn = bias.node if bias is not None else None
     correlate = _depthwise if depthwise else _correlate
     weight_grad = _depthwise_weight_grad if depthwise else _correlate_weight_grad
     a = _gelu_forward(xd, _gelu_tanh(xd)) if gelu_input else xd
-    out = correlate(a, wd)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
+    out = _conv_forward(a, wd, None if bias is None else bias.data)
+    # What backward reads x from: its array, or the producer's arrays that re-derive it.
+    kept = xd if input_of is None else None
+    source = None if input_of is None else tuple(None if t is None else t.data for t in input_of)
 
     def backward(g):
-        a = xd
+        a = kept if source is None else _conv_forward(*source)
         t = _gelu_tanh(a) if gelu_input else None
         if xn.requires_grad:
             gx = correlate(g, (wd if depthwise else wd.swapaxes(0, 1))[:, :, ::-1, ::-1])

@@ -6,7 +6,6 @@ training loops and take a few minutes; everything is seeded, so results
 are reproducible run to run.
 """
 
-import functools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -329,14 +328,12 @@ def test_criterion_5_ablation_parity_and_training():
 
 
 # --------------------------------------------------------------------------
-# Criterion 6: single-sample overfit
+# Criteria 6 and 7: training runs in one pool of two spawned workers
 # --------------------------------------------------------------------------
 
 
-def test_criterion_6_overfit_psnr_mu():
-    # Pre-registered target: >= 30 dB PSNR-mu within 2000 steps on one
-    # synthetic sample at desk scale (validated at 32.7 dB on the first
-    # full run of this exact configuration).
+def _overfit_psnr_mu() -> tuple:
+    """Criterion 6's run: PSNR-mu after 2000 steps on one sample, and its seconds."""
     started = time.time()
     cfg = desk_model_config()
     sample = generate_sample(SceneSpec(seed=11, size=(32, 32)), DegradeSpec())
@@ -353,18 +350,7 @@ def test_criterion_6_overfit_psnr_mu():
     params, history = train([sample], cfg, tcfg, params)
     assert len(history) == 2000
     prediction = forward(sample.stack, params, cfg)
-    score = psnr_mu(prediction.data, sample.ground_truth)
-    elapsed = time.time() - started
-    check(
-        "overfit: one sample reaches PSNR-mu >= 30 dB within 2000 steps",
-        score >= 30.0 and elapsed < 900.0,
-        f"{score:.2f} dB in {elapsed:.0f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# Criterion 7: smoke training across seeds
-# --------------------------------------------------------------------------
+    return psnr_mu(prediction.data, sample.ground_truth), time.time() - started
 
 
 def _smoke_losses(dataset, seed: int) -> tuple:
@@ -380,14 +366,41 @@ def _smoke_losses(dataset, seed: int) -> tuple:
     return first, last
 
 
-def test_criterion_7_smoke_training_across_seeds(monkeypatch):
+@pytest.fixture(scope="module")
+def training_runs():
+    """Futures of criterion 6's overfit and of criterion 7's ten seeds.
+
+    The runs are independent: two spawned workers share them, one per core,
+    and the longest, the overfit, goes first, so the seeds fill the other
+    worker meanwhile. Each worker reads the environment when it loads numpy,
+    so it gets one BLAS thread and the two do not contend for the cores.
+    """
     dataset = [generate_sample(SceneSpec(seed=100 + i), DegradeSpec()) for i in range(16)]
-    # The seeds are independent runs: two spawned workers share them, one per
-    # core. Each worker reads the environment when it loads numpy, so it gets
-    # one BLAS thread and the two do not contend for the cores.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        losses = list(pool.map(functools.partial(_smoke_losses, dataset), range(10)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")
+        pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            overfit = pool.submit(_overfit_psnr_mu)
+            smoke = [pool.submit(_smoke_losses, dataset, seed) for seed in range(10)]
+            yield overfit, smoke
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def test_criterion_6_overfit_psnr_mu(training_runs):
+    # Pre-registered target: >= 30 dB PSNR-mu within 2000 steps on one
+    # synthetic sample at desk scale (validated at 32.7 dB on the first
+    # full run of this exact configuration).
+    score, elapsed = training_runs[0].result()
+    check(
+        "overfit: one sample reaches PSNR-mu >= 30 dB within 2000 steps",
+        score >= 30.0 and elapsed < 900.0,
+        f"{score:.2f} dB in {elapsed:.0f}s",
+    )
+
+
+def test_criterion_7_smoke_training_across_seeds(training_runs):
+    losses = [future.result() for future in training_runs[1]]
     passed = sum(last <= 0.5 * first for first, last in losses)
     ratios = [last / first for first, last in losses]
     check(

@@ -1,8 +1,10 @@
 """Block-level tests: oracles by primitive composition, residual wiring,
 parameter parity, and gradient checks at toy sizes."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +342,28 @@ class TestConvFFN:
         y = conv2d(gelu(conv2d(x, params["fc1.weight"], params["fc1.bias"])), params["fc2.weight"], params["fc2.bias"])
         assert np.array_equal(out.data, (y + x).data)
 
+    @pytest.mark.parametrize("mode,expansion", [("inverted", 4), ("normal_bottleneck", 2), ("flat", 4)])
+    def test_hidden_layer_is_freed_on_return(self, monkeypatch, mode, expansion):
+        # fc2 keeps fc1's arguments, not fc1's output, and re-derives it in backward.
+        params = make_params(conv_ffn_spec(8, mode, expansion), seed=51)
+        x = Tensor(rand((1, 8, 8, 8), seed=52).data, requires_grad=True)
+        hidden = []
+
+        def recording(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            if args[1] is params["fc1.weight"]:
+                hidden.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(blocks, "conv2d", recording)
+        out = conv_ffn(x, params)
+        gc.collect()
+        assert len(hidden) == 1
+        assert out.requires_grad and out._backward_fn is not None
+        assert hidden[0]() is None
+        tsum(out).backward()
+        assert all(params[k].grad is not None for k in params) and x.grad is not None
+
     def test_gradcheck(self):
         spec = conv_ffn_spec(4, "inverted", 2)
         params = make_params(spec, seed=39)
@@ -377,13 +401,14 @@ class TestConvEnhancementBlock:
         h = conv_ffn(h, scoped(params, "ffn."))
         assert np.array_equal(out.data, (h + x).data)
 
-    def test_forward_keeps_at_most_10x_its_input(self):
+    def test_forward_keeps_at_most_5_5x_its_input(self):
         # Closures keep the arrays their backward reads: the outputs of pw_in,
-        # dw0, pw_out, its GELU and fc1 (8x the input at expansion 4, where
-        # fc1's output is 4x), plus the block's output: 9x. fc2's output and
-        # the FFN's residual sum feed only adds, so they are freed during the
-        # forward; keeping them would add 2x. Storing the GELU outputs that
-        # feed dw0, pw_out and fc2 would add 6x more.
+        # dw0, pw_out and its GELU (4x the input), plus the block's output:
+        # 5x. fc1's output, 4x at expansion 4, is not kept: fc2 re-derives it
+        # from fc1's input, pw_out's GELU, in backward. fc2's output and the
+        # FFN's residual sum feed only adds, so they are freed during the
+        # forward. Keeping fc1's output would add 4x, and storing the GELU
+        # outputs that feed dw0, pw_out and fc2 6x more.
         x = Tensor(np.random.default_rng(48).normal(size=(1, 64, 32, 32)).astype(np.float32), requires_grad=True)
         params = make_params(ceb_spec(64, "dw7", "inverted", 4), seed=49, dtype=np.float32)
         tracemalloc.start()
@@ -394,7 +419,7 @@ class TestConvEnhancementBlock:
         finally:
             tracemalloc.stop()
         assert out._backward_fn is not None
-        assert kept <= 10 * x.data.nbytes
+        assert kept <= 5.5 * x.data.nbytes
 
     def test_gradcheck(self):
         spec = ceb_spec(4, "dw7", "inverted", 2)

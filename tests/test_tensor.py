@@ -37,8 +37,9 @@ F64 = np.float64
 
 
 def _closure_array_ids(out: Tensor) -> list:
-    """ids of the arrays that out's backward closure keeps, sorted."""
+    """ids of the arrays that out's backward closure keeps, itself or in a tuple, sorted."""
     cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+    cells += [c for cell in cells if isinstance(cell, tuple) for c in cell]
     return sorted(id(c) for c in cells if isinstance(c, np.ndarray))
 
 
@@ -368,6 +369,45 @@ class TestGeluInputConv:
         assert out._backward_fn is not None
         assert kept < 1.5 * out.data.nbytes
         assert _closure_array_ids(out) == sorted([id(x.data), id(w.data)])
+
+
+class TestConvInputOf:
+    """conv2d(x, ..., input_of=(x0, w0, b0)) keeps x0, w0 and b0 instead of x = conv2d(x0, w0, b0)
+    and re-derives x in backward, with the bytes of the conv that keeps x."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gelu_input", [True, False])
+    @pytest.mark.parametrize(
+        "w0shape,has_bias",
+        [((6, 4, 3, 3), True), ((4, 1, 3, 3), True), ((6, 4, 1, 1), False)],
+        ids=["dense3x3", "depthwise3x3", "1x1_no_bias"],
+    )
+    def test_matches_kept_input_bytewise(self, w0shape, has_bias, gelu_input, dtype):
+        rng = np.random.default_rng(21)
+        shapes = ((2, 4, 6, 6), w0shape, w0shape[:1], (3, w0shape[0], 1, 1), (3,))
+        arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+
+        def run(rederive):
+            x0, w0, b0, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            b0 = b0 if has_bias else None
+            x = conv2d(x0, w0, b0)
+            out = conv2d(x, w, b, gelu_input, input_of=(x0, w0, b0) if rederive else None)
+            if rederive:
+                assert _closure_array_ids(out) == sorted(id(t.data) for t in (x0, w0, b0, w) if t is not None)
+            cot = np.random.default_rng(22).uniform(0.5, 1.5, out.shape).astype(dtype)
+            tsum(mul(out, Tensor(cot))).backward()
+            return [out.data] + [t.grad for t in (x0, w0, b0, w, b) if t is not None]
+
+        for a, b in zip(run(True), run(False)):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_input_that_cannot_be_the_conv_is_rejected(self):
+        x0, w0 = rand((1, 4, 6, 6)), rand((6, 4, 1, 1))
+        with pytest.raises(ValueError, match="cannot be the conv of"):
+            conv2d(rand((1, 6, 4, 6)), rand((2, 6, 1, 1)), input_of=(x0, w0, None))
+        with pytest.raises(ValueError, match="one dtype"):
+            conv2d(conv2d(x0, w0), rand((2, 6, 1, 1)), input_of=(x0, rand((6, 4, 1, 1), dtype=np.float32), None))
 
 
 class TestPooling:
@@ -775,9 +815,10 @@ def _value_and_grad(op, data, cot, **kwargs):
 
 
 class TestInPlaceParity:
-    """gelu, softmax and the GELU-input conv must give the reference's bytes:
-    the in-place rewrite and the recompute keep every operation and its
-    order, so not one rounding may move."""
+    """gelu, softmax, the GELU-input conv and the FFN's re-derived hidden
+    layer must give the reference's bytes: the in-place rewrite and the
+    recomputes keep every operation and its order, so not one rounding may
+    move."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -830,7 +871,9 @@ class TestInPlaceParity:
 
             return wrapper
 
-        def conv2d_of_stored_gelu(x, weight, bias=None, gelu_input=False):
+        def conv2d_of_stored_gelu(x, weight, bias=None, gelu_input=False, input_of=None):
+            # input_of is ignored: the reference keeps x, so the FFN's re-derived
+            # hidden layer is compared with the stored one.
             if gelu_input:
                 calls.append("conv2d_of_stored_gelu")
                 x = gelu_stored_tanh(x)
